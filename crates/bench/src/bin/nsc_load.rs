@@ -589,12 +589,12 @@ fn main() {
     let deadline_ms = args.opt_u64("deadline-ms", 0);
     let max_retries = args.opt_u64("retries", 4);
 
-    let keys: Vec<Key> = nsc_workloads::all(args.size)
+    let keys: Vec<Key> = nsc_workloads::names()
         .into_iter()
-        .flat_map(|w| {
+        .flat_map(|name| {
             [ExecMode::Base, ExecMode::Ns]
                 .into_iter()
-                .map(move |mode| Key { workload: w.name.to_owned(), mode })
+                .map(move |mode| Key { workload: name.to_owned(), mode })
         })
         .collect();
     let zipf = Zipf::new(keys.len(), theta);

@@ -17,7 +17,9 @@ fn main() {
     if args.flag("nocontention") {
         cfg.mesh.contention = false;
     }
-    let w = nsc_workloads::all(size).into_iter().find(|w| w.name == name).unwrap();
+    let w = nsc_workloads::by_name(&name, size).unwrap_or_else(|| {
+        panic!("unknown workload {name:?} (known: {})", nsc_workloads::names().join(", "))
+    });
     let p = prepare(w);
     let mut rep = Report::new("probe_workload", size);
     rep.meta("workload", &name);

@@ -298,20 +298,31 @@ impl<'a> RunRequest<'a> {
         }
         let data = self.init_memory();
         let key = self.with_compiled(|ck| self.digest(ck, &data));
-        if let Some(rec) = store.lookup(&key).and_then(|blob| decode(&blob)) {
-            fault::absorb(rec.faults);
-            trace::emit(|| TraceEvent::ResultCache {
-                at: Cycle::ZERO,
-                key: key.hi(),
-                hit: true,
-            });
-            return Ok(rec.result);
+        match lookup_cached(store, &key) {
+            Some(result) => Ok(result),
+            None => self.simulate_and_store(store, &key, data),
         }
-        trace::emit(|| TraceEvent::ResultCache {
-            at: Cycle::ZERO,
-            key: key.hi(),
-            hit: false,
-        });
+    }
+
+    /// The miss half of [`try_run_cached_in`](RunRequest::try_run_cached_in)
+    /// for a caller that already holds this request's [`key`](RunRequest::key)
+    /// and saw [`lookup_cached`] miss: simulates, then stores the record
+    /// under `key`. `key` must be this request's own key, computed under
+    /// the same armed fault plan; it is not recomputed here.
+    pub fn try_run_and_store_in(
+        &self,
+        store: &dyn CacheStore,
+        key: &Key,
+    ) -> Result<RunResult, SimError> {
+        self.simulate_and_store(store, key, self.init_memory())
+    }
+
+    fn simulate_and_store(
+        &self,
+        store: &dyn CacheStore,
+        key: &Key,
+        data: Memory,
+    ) -> Result<RunResult, SimError> {
         let fault_mark = fault::snapshot();
         let (result, _mem) = self.with_compiled(|ck| {
             simulate(self.program, ck, &self.params, self.mode, &self.cfg, data)
@@ -319,9 +330,29 @@ impl<'a> RunRequest<'a> {
         let faults = fault::snapshot().since(&fault_mark);
         // A failed store degrades to an ordinary miss next time; the run
         // itself already succeeded.
-        let _ = store.store(&key, &encode(&result, &faults));
+        let _ = store.store(key, &encode(&result, &faults));
         Ok(result)
     }
+}
+
+/// The hit half of [`RunRequest::try_run_cached_in`]: one counted lookup
+/// of a precomputed `key`. A hit decodes the record and replays its fault
+/// delta into the live accounting; `None` (absent or undecodable) means
+/// the caller must simulate and store. Either way a
+/// [`TraceEvent::ResultCache`] records the outcome. Needs no program,
+/// compilation or memory image, so a caller that remembers a request's
+/// key can replay it without building the request at all.
+pub fn lookup_cached(store: &dyn CacheStore, key: &Key) -> Option<RunResult> {
+    let rec = store.lookup(key).and_then(|blob| decode(&blob));
+    trace::emit(|| TraceEvent::ResultCache {
+        at: Cycle::ZERO,
+        key: key.hi(),
+        hit: rec.is_some(),
+    });
+    rec.map(|rec| {
+        fault::absorb(rec.faults);
+        rec.result
+    })
 }
 
 // Free fn (not a method) so the builder's `init` setter can coerce the

@@ -103,11 +103,13 @@ pub mod server;
 use json::Obj;
 use near_stream::request::{self, CachedRun};
 use near_stream::{ExecMode, RunResult};
-use nsc_bench::size_from_str;
-use nsc_sim::cache::{self, CacheStore, TierStats, TieredCache};
-use nsc_sim::span::SpanTrace;
-use nsc_sim::fault::FaultStats;
+use nsc_bench::{size_from_str, Prepared};
+use nsc_sim::cache::{self, CacheStore, Key, TierStats, TieredCache};
+use nsc_sim::fault::{self, FaultStats};
+use nsc_sim::span::{self, SpanTrace};
 use nsc_workloads::Size;
+use std::collections::HashMap;
+use std::sync::{Mutex, OnceLock};
 
 /// The spelling of a [`Size`] on the wire (inverse of
 /// [`nsc_bench::size_from_str`]).
@@ -902,46 +904,136 @@ pub struct RunOutcome {
     pub cached: bool,
 }
 
-/// Executes one run request in this process: looks the workload up,
-/// compiles it, and runs it cache-aware (a stored result is replayed
-/// without simulating). This is the daemon's backend, and also what
-/// `nsc-client submit --local` calls.
+/// Executes one run request in this process: replays a stored result
+/// when the cache holds one, otherwise builds and compiles the workload
+/// and simulates it (storing the result when the cache is armed). This
+/// is the daemon's backend, and also what `nsc-client submit --local`
+/// calls.
 pub fn execute(workload: &str, size: Size, mode: ExecMode) -> Result<RunOutcome, String> {
     execute_spanned(workload, size, mode, &mut SpanTrace::begin(0))
 }
 
 /// [`execute`] with per-phase attribution: records `pool_dispatch`
-/// (workload lookup + kernel compilation), `cache_probe` (result-cache
-/// digest + lookup) and `simulate` (the run itself, cache-aware) spans
-/// into `spans`. The simulation is untouched — only wall-clock fences
-/// are added around it — so results stay byte-identical with or without
-/// a live trace.
+/// (workload build + kernel compilation), `cache_probe` (key memo read
+/// or digest, then one result-cache lookup) and `simulate` (the run and
+/// its store) spans into `spans`. With the cache armed, a request whose
+/// key is already memoized (see [`request_key`]) builds and compiles
+/// nothing: a hit is one memo probe plus one lookup, and `pool_dispatch`
+/// reads zero. If that lookup misses (the record was evicted or
+/// purged), the build happens inside `simulate`. The simulation is
+/// untouched — only wall-clock fences are added around it — so results
+/// stay byte-identical with or without a live trace.
 pub fn execute_spanned(
     workload: &str,
     size: Size,
     mode: ExecMode,
     spans: &mut SpanTrace,
 ) -> Result<RunOutcome, String> {
-    let t0 = nsc_sim::span::now_us();
-    let found = nsc_workloads::all(size).into_iter().find(|w| w.name == workload);
-    let Some(w) = found else {
-        spans.push("pool_dispatch", t0, nsc_sim::span::now_us());
-        let known: Vec<_> = nsc_workloads::all(size).iter().map(|w| w.name).collect();
+    let t0 = span::now_us();
+    let Some(name) = resolve(workload) else {
+        spans.push("pool_dispatch", t0, span::now_us());
         return Err(format!(
             "unknown workload: {workload:?} (known: {})",
-            known.join(", ")
+            nsc_workloads::names().join(", ")
         ));
     };
-    let p = nsc_bench::prepare(w);
-    let cfg = nsc_bench::system_for(size);
-    let req = p.request(mode, &cfg);
-    spans.push("pool_dispatch", t0, nsc_sim::span::now_us());
-    let cached =
-        spans.time("cache_probe", || cache::enabled() && cache::shared().contains(&req.key()));
+    if !cache::enabled() {
+        let p = prepare(name, size);
+        let t1 = span::now_us();
+        spans.push("pool_dispatch", t0, t1);
+        spans.push("cache_probe", t1, t1);
+        let result = spans
+            .time("simulate", || p.request(mode, &nsc_bench::system_for(size)).try_run())
+            .map_err(|e| e.to_string())?
+            .0;
+        return Ok(RunOutcome { result, cached: false });
+    }
+    let store = cache::shared();
+    let memo = MemoKey::armed(name, size, mode);
+    let mut built = None;
+    let (t_probe, key) = match remembered(&memo) {
+        Some(key) => (t0, key),
+        None => {
+            let p = built.insert(prepare(name, size));
+            let t1 = span::now_us();
+            (t1, remember(memo, p.request(mode, &nsc_bench::system_for(size)).key()))
+        }
+    };
+    spans.push("pool_dispatch", t0, t_probe);
+    let hit = request::lookup_cached(store, &key);
+    spans.push("cache_probe", t_probe, span::now_us());
+    if let Some(result) = hit {
+        return Ok(RunOutcome { result, cached: true });
+    }
     let result = spans
-        .time("simulate", || req.try_run_cached())
+        .time("simulate", || {
+            let p = built.unwrap_or_else(|| prepare(name, size));
+            p.request(mode, &nsc_bench::system_for(size)).try_run_and_store_in(store, &key)
+        })
         .map_err(|e| e.to_string())?;
-    Ok(RunOutcome { result, cached })
+    Ok(RunOutcome { result, cached: false })
+}
+
+/// The listed workload name spelled `workload`, if there is one.
+fn resolve(workload: &str) -> Option<&'static str> {
+    nsc_workloads::names().into_iter().find(|n| *n == workload)
+}
+
+/// Builds and compiles one listed workload.
+fn prepare(name: &'static str, size: Size) -> Prepared {
+    nsc_bench::prepare(nsc_workloads::by_name(name, size).expect("listed names build"))
+}
+
+/// A `run` request's identity in the key memo: the tuple plus the
+/// calling thread's armed fault plan, which the content key folds in.
+/// The plan enters by its `Debug` rendering, which prints every field
+/// and each `f64` exactly (shortest round-trip).
+#[derive(PartialEq, Eq, Hash)]
+struct MemoKey {
+    workload: &'static str,
+    size: Size,
+    mode: ExecMode,
+    plan: Option<String>,
+}
+
+impl MemoKey {
+    fn armed(workload: &'static str, size: Size, mode: ExecMode) -> MemoKey {
+        let plan = fault::current_plan().map(|p| format!("{p:?}"));
+        MemoKey { workload, size, mode, plan }
+    }
+}
+
+/// The process's request → content-key memo. Sound because, within one
+/// process, the workload generators, `system_for(size)` and `compile`
+/// are deterministic in the memo key (`NSC_COMPILE` only changes the
+/// bytecode plan, which the content key leaves out). Bounded because
+/// only resolved names enter: 14 workloads × 3 sizes × 8 modes × the
+/// plans armed around them (the daemon arms none or one per tuple).
+fn key_memo() -> &'static Mutex<HashMap<MemoKey, Key>> {
+    static MEMO: OnceLock<Mutex<HashMap<MemoKey, Key>>> = OnceLock::new();
+    MEMO.get_or_init(Default::default)
+}
+
+fn remembered(memo: &MemoKey) -> Option<Key> {
+    key_memo().lock().unwrap_or_else(|e| e.into_inner()).get(memo).copied()
+}
+
+fn remember(memo: MemoKey, key: Key) -> Key {
+    key_memo().lock().unwrap_or_else(|e| e.into_inner()).insert(memo, key);
+    key
+}
+
+/// The content key a `run` of `workload` at `size` under `mode` is
+/// cached under, given the fault plan armed on the calling thread — the
+/// key [`execute`] looks up. Memoized per process: the first call for a
+/// tuple builds, compiles and digests its workload, later calls are one
+/// hash-map probe. `None` for an unknown workload.
+pub fn request_key(workload: &str, size: Size, mode: ExecMode) -> Option<Key> {
+    let name = resolve(workload)?;
+    let memo = MemoKey::armed(name, size, mode);
+    Some(remembered(&memo).unwrap_or_else(|| {
+        remember(memo, prepare(name, size).request(mode, &nsc_bench::system_for(size)).key())
+    }))
 }
 
 /// Builds a successful `run` response (unrendered: the daemon appends
@@ -997,17 +1089,11 @@ pub fn is_retryable_shed(response: &Obj) -> bool {
 /// fault plan installed on the calling thread participates in the key,
 /// exactly as it would on the run path.
 pub fn cache_would_hit(workload: &str, size: Size, mode: ExecMode) -> bool {
-    if !cache::enabled() {
-        return false;
-    }
-    let Some(w) = nsc_workloads::all(size).into_iter().find(|w| w.name == workload) else {
-        return false;
-    };
-    let p = nsc_bench::prepare(w);
-    let cfg = nsc_bench::system_for(size);
-    // The shared handle answers warm probes from the hot tier without
-    // touching disk, which is what keeps degraded mode cheap.
-    cache::shared().contains(&p.request(mode, &cfg).key())
+    // The memoized key makes a warm probe one hash-map read, and the
+    // shared handle answers it from the hot tier without touching disk
+    // or the hit/miss counters: that is what keeps degraded mode cheap.
+    cache::enabled()
+        && request_key(workload, size, mode).is_some_and(|key| cache::shared().contains(&key))
 }
 
 /// Renders an error response line.
@@ -1254,6 +1340,11 @@ mod tests {
         // Regardless of cache state, probing a nonexistent workload must
         // report a miss (the run path will answer with a typed error).
         assert!(!cache_would_hit("not-a-workload", Size::Tiny, ExecMode::Ns));
+        // The run path's typed error still names every known workload.
+        let err = execute("not-a-workload", Size::Tiny, ExecMode::Ns).unwrap_err();
+        for name in nsc_workloads::names() {
+            assert!(err.contains(name), "{name} missing from: {err}");
+        }
     }
 
     #[test]

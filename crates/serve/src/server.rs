@@ -760,6 +760,15 @@ fn handle_conn(st: &Arc<State>, mut stream: UnixStream) {
     let mut seen_rids: HashSet<u64> = HashSet::new();
     log::debug("serve", || "connection opened".to_owned());
     loop {
+        // Start the request clock when the line's first byte is
+        // available, not before the blocking read: a persistent
+        // connection's idle time between requests is the client's, and
+        // must count neither toward the request's spans nor against its
+        // deadline.
+        match reader.fill_buf() {
+            Ok(buf) if !buf.is_empty() => {}
+            _ => break,
+        }
         let t_read0 = span::now_us();
         let line = match read_bounded_line(&mut reader) {
             Ok(ReadLine::Line(line)) => line,

@@ -250,3 +250,30 @@ fn client_retry_drains_through_an_overloaded_daemon() {
     }
     shutdown(&socket, server);
 }
+
+#[test]
+fn idle_time_on_a_persistent_connection_is_not_charged_to_the_next_request() {
+    // The request clock starts when a line's first byte arrives. A client
+    // that sits idle on an open connection for longer than its next
+    // run's deadline must still be served, and that run's span tree must
+    // not contain the idle time.
+    let cfg = ServeConfig { jobs: 1, max_conns: 8, queue_cap: 32, deadline_ms: 0, sample_ms: 0, timeline_cap: 16 };
+    let (socket, server) = start_daemon("idle", cfg);
+    let idle = Duration::from_millis(600);
+    let mut conn = UnixStream::connect(&socket).expect("connect");
+    std::thread::sleep(idle);
+    writeln!(conn, "{}", run(1, 0x1D1E, "histogram", 200).render()).expect("submit");
+    conn.flush().expect("flush");
+    let mut line = String::new();
+    BufReader::new(&conn).read_line(&mut line).expect("response");
+    let resp = nsc_serve::json::Obj::parse(line.trim_end()).expect("response parses");
+    assert_eq!(resp.get_bool("ok"), Some(true), "idle time was charged to the deadline: {line}");
+    let tree = parse(resp.get_str("latency").expect("latency")).expect("latency parses");
+    let wall_us = tree.get("wall_us").and_then(Json::as_f64).expect("wall_us");
+    assert!(
+        wall_us < idle.as_micros() as f64,
+        "span tree wall {wall_us}µs includes the {idle:?} idle gap"
+    );
+    drop(conn);
+    shutdown(&socket, server);
+}

@@ -76,10 +76,7 @@ fn daemon_roundtrip_matches_in_process() {
     for (resp, name) in [(&resps[0], "histogram"), (&resps[1], "bin_tree")] {
         assert_eq!(resp.get_bool("ok"), Some(true), "got {}", resp.render());
         let daemon = nsc_serve::decode_response_blob(resp).expect("blob decodes").result;
-        let w = nsc_workloads::all(Size::Tiny)
-            .into_iter()
-            .find(|w| w.name == name)
-            .unwrap();
+        let w = nsc_workloads::by_name(name, Size::Tiny).unwrap();
         let p = nsc_bench::prepare(w);
         let cfg = nsc_bench::system_for(Size::Tiny);
         let (local, _mem) = p.request(ExecMode::Ns, &cfg).run();

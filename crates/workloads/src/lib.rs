@@ -38,7 +38,7 @@ pub use pointer::{bin_tree, hash_join};
 pub use rodinia::{hotspot, hotspot3d, pathfinder, srad};
 
 /// Input scale selector.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Size {
     /// A few thousand elements: unit/integration tests.
     Tiny,
@@ -166,45 +166,44 @@ impl Workload {
     }
 }
 
+/// A workload constructor.
+type Build = fn(Size) -> Workload;
+
+/// Every workload's Table VI name and constructor, in the paper's order:
+/// the one list behind [`names`], [`by_name`] and [`all`].
+const TABLE: [(&str, Build); 14] = [
+    ("pathfinder", pathfinder),
+    ("srad", srad),
+    ("hotspot", hotspot),
+    ("hotspot3D", hotspot3d),
+    ("histogram", histogram),
+    ("scluster", scluster),
+    ("svm", svm),
+    ("bfs_push", bfs_push),
+    ("pr_push", pr_push),
+    ("sssp", sssp),
+    ("bfs_pull", bfs_pull),
+    ("pr_pull", pr_pull),
+    ("bin_tree", bin_tree),
+    ("hash_join", hash_join),
+];
+
+/// Builds the one workload called `name` (a Table VI name, see
+/// [`names`]) at the given size, without generating any other
+/// workload's inputs. `None` for an unknown name.
+pub fn by_name(name: &str, size: Size) -> Option<Workload> {
+    TABLE.iter().find(|(n, _)| *n == name).map(|(_, build)| build(size))
+}
+
 /// Builds all 14 workloads at the given size, in the paper's Table VI
 /// order.
 pub fn all(size: Size) -> Vec<Workload> {
-    vec![
-        pathfinder(size),
-        srad(size),
-        hotspot(size),
-        hotspot3d(size),
-        histogram(size),
-        scluster(size),
-        svm(size),
-        bfs_push(size),
-        pr_push(size),
-        sssp(size),
-        bfs_pull(size),
-        pr_pull(size),
-        bin_tree(size),
-        hash_join(size),
-    ]
+    TABLE.iter().map(|(_, build)| build(size)).collect()
 }
 
 /// Names of all workloads, in order.
 pub fn names() -> [&'static str; 14] {
-    [
-        "pathfinder",
-        "srad",
-        "hotspot",
-        "hotspot3D",
-        "histogram",
-        "scluster",
-        "svm",
-        "bfs_push",
-        "pr_push",
-        "sssp",
-        "bfs_pull",
-        "pr_pull",
-        "bin_tree",
-        "hash_join",
-    ]
+    TABLE.map(|(name, _)| name)
 }
 
 #[cfg(test)]
@@ -219,6 +218,7 @@ mod tests {
             assert_eq!(w.name, name);
             assert!(w.program.validate().is_ok(), "{name} invalid");
         }
+        assert!(by_name("not-a-workload", Size::Tiny).is_none());
     }
 
     #[test]
