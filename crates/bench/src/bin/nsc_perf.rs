@@ -29,7 +29,7 @@ use near_stream::ExecMode;
 use nsc_bench::{prepare, system_for, Cli};
 use nsc_sim::json::{escape, fmt_f64, parse, Json};
 use nsc_sim::rng::Rng;
-use nsc_sim::cache::{self, CacheStore};
+use nsc_sim::cache;
 use nsc_sim::{Cycle, EventQueue};
 use nsc_workloads::Size;
 use std::fmt::Write as _;
@@ -327,7 +327,7 @@ fn cache_warm_replay(size: Size) -> Measurement {
     let cold = p.run_cached(ExecMode::Ns, &cfg);
     let warm = p.run_cached(ExecMode::Ns, &cfg);
     let s = store.stats();
-    let (hits, misses) = (s.hits(), s.misses());
+    let (hits, misses) = (s.hits, s.misses);
     assert_eq!(cold.cycles, warm.cycles, "replay must be exact");
     Measurement {
         name: "cache_warm",

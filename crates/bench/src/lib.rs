@@ -11,7 +11,7 @@
 use near_stream::{ExecMode, RunRequest, RunResult, SystemConfig};
 use nsc_compiler::{compile, CompiledProgram};
 use nsc_ir::Memory;
-use nsc_sim::cache::{self, CacheStore};
+use nsc_sim::cache;
 use nsc_sim::fault::{self, FaultPlan};
 use nsc_sim::json::{escape, fmt_f64};
 use nsc_sim::metrics::{self, Registry};
@@ -471,11 +471,10 @@ impl Report {
         // legitimately vary between otherwise bit-identical runs (a cold
         // and a warm cache produce the same science), so determinism
         // checks compare everything else and strip this one key.
-        // Only an armed cache pays for a stats snapshot; disabled runs
-        // report zeros without touching the store.
+        // A disabled cache reports zeros without touching the store.
         let (cache_hits, cache_misses) = if cache::enabled() {
             let s = cache::shared().stats();
-            (s.hits(), s.misses())
+            (s.hits, s.misses)
         } else {
             (0, 0)
         };

@@ -37,9 +37,10 @@
 //! is byte-identical to the one the original miss produced (the record
 //! stores every `f64` by bit pattern, because a decimal round-trip through
 //! the report JSON cannot guarantee ULP-exactness); misses simulate and
-//! store. Each consultation emits a
+//! store. A record that fails to decode counts as a miss and is
+//! overwritten by the re-simulated result. Each consultation emits a
 //! [`TraceEvent::ResultCache`](nsc_sim::trace::TraceEvent::ResultCache)
-//! on the observability tracks and bumps the shared store's per-tier
+//! on the observability tracks and bumps the store's hit/miss/store
 //! [`cache::CacheStats`](nsc_sim::cache::CacheStats).
 //!
 //! A cached record also carries the per-run fault-injection delta; a hit
@@ -58,7 +59,7 @@ use nsc_compiler::{compile, CompiledProgram};
 use nsc_ir::types::Scalar;
 use nsc_ir::{ArrayId, Memory, Program};
 use nsc_mem::MemStats;
-use nsc_sim::cache::{self, CacheStore, Key};
+use nsc_sim::cache::{self, Key, ResultCache};
 use nsc_sim::error::SimError;
 use nsc_sim::fault::{self, FaultStats};
 use nsc_sim::trace::{self, TraceEvent};
@@ -289,10 +290,9 @@ impl<'a> RunRequest<'a> {
     }
 
     /// [`try_run_cached`](RunRequest::try_run_cached) against an explicit
-    /// [`CacheStore`] instead of the process-wide [`cache::shared`]
-    /// handle. Tests inject tiny-budget [`nsc_sim::cache::TieredCache`]
-    /// instances to force tier evictions mid-sweep.
-    pub fn try_run_cached_in(&self, store: &dyn CacheStore) -> Result<RunResult, SimError> {
+    /// [`ResultCache`] instead of the process-wide [`cache::shared`]
+    /// handle (tests point private stores at scratch directories).
+    pub fn try_run_cached_in(&self, store: &ResultCache) -> Result<RunResult, SimError> {
         if !cache::enabled() {
             return self.try_run().map(|(r, _)| r);
         }
@@ -311,7 +311,7 @@ impl<'a> RunRequest<'a> {
     /// the same armed fault plan; it is not recomputed here.
     pub fn try_run_and_store_in(
         &self,
-        store: &dyn CacheStore,
+        store: &ResultCache,
         key: &Key,
     ) -> Result<RunResult, SimError> {
         self.simulate_and_store(store, key, self.init_memory())
@@ -319,7 +319,7 @@ impl<'a> RunRequest<'a> {
 
     fn simulate_and_store(
         &self,
-        store: &dyn CacheStore,
+        store: &ResultCache,
         key: &Key,
         data: Memory,
     ) -> Result<RunResult, SimError> {
@@ -342,8 +342,8 @@ impl<'a> RunRequest<'a> {
 /// [`TraceEvent::ResultCache`] records the outcome. Needs no program,
 /// compilation or memory image, so a caller that remembers a request's
 /// key can replay it without building the request at all.
-pub fn lookup_cached(store: &dyn CacheStore, key: &Key) -> Option<RunResult> {
-    let rec = store.lookup(key).and_then(|blob| decode(&blob));
+pub fn lookup_cached(store: &ResultCache, key: &Key) -> Option<RunResult> {
+    let rec = store.lookup(key, decode);
     trace::emit(|| TraceEvent::ResultCache {
         at: Cycle::ZERO,
         key: key.hi(),

@@ -35,7 +35,7 @@ Usage:
   nsc-client metrics [--socket PATH]        live metrics-registry snapshot
   nsc-client logs   [--socket PATH]         drain the daemon's log flight recorder
   nsc-client trace  [OPTIONS] REQUEST_ID    one request's span tree (hex id from submit)
-  nsc-client inspect [OPTIONS]              tiered result-cache report (hot/cold stats)
+  nsc-client inspect [OPTIONS]              result-cache report (hits, misses, records on disk)
   nsc-client timeline [OPTIONS]             sampled telemetry frames as ndjson
   nsc-client health [--socket PATH]         SLO verdict (ok | degraded | failing)
   nsc-client dashboard --out FILE           self-contained HTML dashboard
@@ -57,7 +57,7 @@ Options:
   --prom           render metrics in Prometheus text exposition format
   --watch N        clear + re-render metrics every N seconds, with counter deltas
   --perfetto FILE  (trace) also write a combined Perfetto trace document
-  --key HEX        (inspect) probe one 32-hex-digit cache key's residency
+  --key HEX        (inspect) probe one 32-hex-digit cache key's record
   --since N        (timeline) only frames with seq > N (cursor pagination)
   --follow         (timeline) keep polling and stream new frames as they land
   --out FILE       (dashboard) where to write the HTML document
@@ -577,11 +577,10 @@ fn logs_cmd(o: Opts) {
     );
 }
 
-/// `nsc-client inspect`: report the tiered result cache. The raw protocol
-/// line goes to stdout (scripts grep the flat `hot_*`/`cold_*` fields); a
-/// per-tier table plus the hottest keys goes to stderr. `--key HEX` probes
-/// one key's residency; `--local` reads this process's cache instead of a
-/// daemon's.
+/// `nsc-client inspect`: report the result cache. The raw protocol line
+/// goes to stdout (scripts grep its flat fields); a one-row table goes to
+/// stderr. `--key HEX` probes one key's record; `--local` reads this
+/// process's cache instead of a daemon's.
 fn inspect_cmd(o: Opts) {
     if !o.words.is_empty() {
         die("inspect takes no positional arguments (use --key HEX to probe a key)");
@@ -609,38 +608,21 @@ fn inspect_cmd(o: Opts) {
 }
 
 fn print_inspect_summary(b: &InspectBody) {
-    let budget = |v: u64, unbounded: &str| {
-        if v == 0 { unbounded.to_string() } else { v.to_string() }
-    };
+    eprintln!("  cache {}", if b.enabled { "enabled" } else { "disabled" });
     eprintln!(
-        "  cache {}, compression {}",
-        if b.enabled { "enabled" } else { "disabled" },
-        if b.compress { "on" } else { "off" },
+        "  {:>9} {:>9} {:>9} {:>8} {:>11}",
+        "hits", "misses", "stores", "entries", "bytes",
     );
     eprintln!(
-        "  {:<5} {:>9} {:>9} {:>9} {:>10} {:>8} {:>11} {:>11}",
-        "tier", "hits", "misses", "stores", "evictions", "entries", "bytes", "budget",
+        "  {:>9} {:>9} {:>9} {:>8} {:>11}",
+        b.stats.hits, b.stats.misses, b.stats.stores, b.footprint.entries, b.footprint.bytes,
     );
-    for (name, t, budget_str) in [
-        ("hot", &b.hot, budget(b.mem_budget, "off")),
-        ("cold", &b.cold, budget(b.disk_budget, "unbounded")),
-    ] {
-        eprintln!(
-            "  {:<5} {:>9} {:>9} {:>9} {:>10} {:>8} {:>11} {:>11}",
-            name, t.hits, t.misses, t.stores, t.evictions, t.entries, t.bytes, budget_str,
-        );
-    }
-    if !b.hottest.is_empty() {
-        eprintln!("  hottest (key:hits): {}", b.hottest);
-    }
     if let Some(k) = &b.key {
         eprintln!(
-            "  key {}: hot={} cold={} bytes={} hot_hits={}",
+            "  key {}: {} bytes={}",
             k.key,
-            if k.in_hot { "yes" } else { "no" },
-            if k.in_cold { "yes" } else { "no" },
+            if k.present { "present" } else { "absent" },
             k.bytes,
-            k.hits,
         );
     }
 }

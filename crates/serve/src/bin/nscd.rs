@@ -96,18 +96,9 @@ fn main() {
     let jobs = jobs.unwrap_or_else(nsc_sim::pool::jobs_from_env);
     let cfg = nsc_serve::server::ServeConfig::from_env(jobs);
     let cache = if nsc_sim::cache::enabled() {
-        // Latches the tier config from the environment now, so the
-        // banner reflects exactly what the serving path will use.
-        let store = nsc_sim::cache::shared();
-        let budget = |b: u64, zero: &str| {
-            if b == 0 { zero.to_owned() } else { format!("{b}B") }
-        };
-        format!(
-            "on (hot {}, cold {}, compress {})",
-            budget(store.mem_budget(), "off"),
-            budget(store.disk_budget(), "unbounded"),
-            if store.compression() { "on" } else { "off" },
-        )
+        // Latches the cache directory from the environment now, so the
+        // banner names exactly the directory the serving path uses.
+        format!("on ({})", nsc_sim::cache::shared().root().display())
     } else {
         "off".to_owned()
     };

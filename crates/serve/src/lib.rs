@@ -42,7 +42,7 @@
 //! {"id":3,"ok":true,"schema":"nsc-metrics-v1","snapshot":"{...}"}
 //! {"id":4,"ok":true,"count":17,"dropped":0,"lines":"{...}\n{...}\n"}
 //! {"id":5,"ok":true,"request_id":81985529216486895,"wall_us":812,"spans":9,"tree":"{...}"}
-//! {"id":6,"ok":true,"enabled":true,"hot_hits":8,"hot_bytes":41320,"cold_evictions":2,...,"hottest":"00c5…9e:5 77ab…01:2"}
+//! {"id":6,"ok":true,"enabled":true,"hits":8,"misses":4,"stores":4,"bytes":3216,"entries":4}
 //! {"id":8,"ok":true,"count":2,"latest_seq":43,"cap":900,"sample_ms":1000,"frames":"{...}\n{...}\n"}
 //! {"id":9,"ok":true,"verdict":"ok","frames_seen":43,"rules":"{...}\n{...}\n"}
 //! ```
@@ -50,9 +50,10 @@
 //! Both sides of the protocol have typed spellings: [`Request`] for the
 //! client-to-daemon lines and [`Response`] for the daemon-to-client
 //! lines; each `render`s to exactly the flat object above and `parse`s
-//! back losslessly. The `inspect` op reports the tiered result cache
-//! (per-tier hits/misses/bytes/evictions, budgets, hottest keys, and —
-//! with an optional 32-hex-digit `"key"` — one entry's residency).
+//! back losslessly. The `inspect` op reports the result cache (hits,
+//! misses and stores since startup, plus the records on disk and their
+//! bytes; with an optional 32-hex-digit `"key"`, whether that one record
+//! is present and its size).
 //!
 //! The `snapshot` of a `metrics` response is a full
 //! [`nsc_sim::metrics`] registry snapshot (schema `nsc-metrics-v1`)
@@ -104,7 +105,7 @@ use json::Obj;
 use near_stream::request::{self, CachedRun};
 use near_stream::{ExecMode, RunResult};
 use nsc_bench::{size_from_str, Prepared};
-use nsc_sim::cache::{self, CacheStore, Key, TierStats, TieredCache};
+use nsc_sim::cache::{self, CacheStats, Footprint, Key, ResultCache};
 use nsc_sim::fault::{self, FaultStats};
 use nsc_sim::span::{self, SpanTrace};
 use nsc_workloads::Size;
@@ -170,8 +171,8 @@ pub enum Request {
         /// run's simulator events).
         perfetto: bool,
     },
-    /// Report tiered result-cache statistics (per-tier counters,
-    /// budgets, hottest keys; optionally one key's residency).
+    /// Report result-cache counters and occupancy (optionally one key's
+    /// record).
     Inspect {
         /// Correlation id.
         id: u64,
@@ -321,43 +322,28 @@ impl Request {
     }
 }
 
-/// One key's residency in the tiered cache, as reported by `inspect`
-/// with a `"key"` argument.
+/// One key's record, as reported by `inspect` with a `"key"` argument.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct KeyReport {
     /// The probed key (32 hex digits).
     pub key: String,
-    /// Resident in the in-memory hot tier.
-    pub in_hot: bool,
-    /// Present in the on-disk cold tier.
-    pub in_cold: bool,
-    /// Stored size in bytes (cold file size if on disk).
+    /// Whether the store holds a record for it.
+    pub present: bool,
+    /// The record's size in bytes (`0` when absent).
     pub bytes: u64,
-    /// Hot-tier hits since the key was (re)admitted.
-    pub hits: u64,
 }
 
-/// The payload of an `inspect` response: the daemon's tiered
-/// result-cache state, flattened onto the wire as `hot_*` / `cold_*`
-/// fields plus budgets and a space-joined `"hex:hits"` hottest list.
+/// The payload of an `inspect` response: the daemon's result-cache
+/// counters and what its directory holds, flat on the wire.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct InspectBody {
     /// Whether cache consultation is armed in the daemon process.
     pub enabled: bool,
-    /// Hot-tier (in-memory LRU) counters and occupancy.
-    pub hot: TierStats,
-    /// Cold-tier (on-disk) counters and occupancy.
-    pub cold: TierStats,
-    /// Hot-tier byte budget (`0` = tier disabled).
-    pub mem_budget: u64,
-    /// Cold-tier byte budget (`0` = unbounded).
-    pub disk_budget: u64,
-    /// Whether cold-tier records are stored compressed.
-    pub compress: bool,
-    /// Hottest hot-tier keys, `"<hex>:<hits>"` space-joined, hottest
-    /// first (empty when the hot tier is cold or disabled).
-    pub hottest: String,
-    /// Residency of the individually probed key, when one was given.
+    /// Hits, misses and stores since startup.
+    pub stats: CacheStats,
+    /// Records on disk and their bytes.
+    pub footprint: Footprint,
+    /// The individually probed key, when one was given.
     pub key: Option<KeyReport>,
 }
 
@@ -396,9 +382,9 @@ pub enum Response {
         id: u64,
         /// Runs completed since startup.
         served: u64,
-        /// Result-cache hits (both tiers).
+        /// Result-cache hits.
         cache_hits: u64,
-        /// Result-cache misses (no tier could answer).
+        /// Result-cache misses (the run simulated).
         cache_misses: u64,
         /// Worker-pool width.
         jobs: u64,
@@ -628,29 +614,16 @@ impl Response {
                     .num("id", *id)
                     .bool("ok", true)
                     .bool("enabled", body.enabled)
-                    .num("hot_hits", body.hot.hits)
-                    .num("hot_misses", body.hot.misses)
-                    .num("hot_stores", body.hot.stores)
-                    .num("hot_evictions", body.hot.evictions)
-                    .num("hot_bytes", body.hot.bytes)
-                    .num("hot_entries", body.hot.entries)
-                    .num("mem_budget", body.mem_budget)
-                    .num("cold_hits", body.cold.hits)
-                    .num("cold_misses", body.cold.misses)
-                    .num("cold_stores", body.cold.stores)
-                    .num("cold_evictions", body.cold.evictions)
-                    .num("cold_bytes", body.cold.bytes)
-                    .num("cold_entries", body.cold.entries)
-                    .num("disk_budget", body.disk_budget)
-                    .bool("compress", body.compress)
-                    .str("hottest", &body.hottest);
+                    .num("hits", body.stats.hits)
+                    .num("misses", body.stats.misses)
+                    .num("stores", body.stats.stores)
+                    .num("bytes", body.footprint.bytes)
+                    .num("entries", body.footprint.entries);
                 if let Some(k) = &body.key {
                     o = o
                         .str("key", &k.key)
-                        .bool("key_in_hot", k.in_hot)
-                        .bool("key_in_cold", k.in_cold)
-                        .num("key_bytes", k.bytes)
-                        .num("key_hits", k.hits);
+                        .bool("key_present", k.present)
+                        .num("key_bytes", k.bytes);
                 }
                 o
             }
@@ -760,34 +733,22 @@ impl Response {
                 perfetto: obj.get_str("perfetto").map(str::to_owned),
             });
         }
-        if obj.get_num("hot_hits").is_some() {
-            let tier = |prefix: &str| -> Option<TierStats> {
-                Some(TierStats {
-                    hits: obj.get_num(&format!("{prefix}_hits"))?,
-                    misses: obj.get_num(&format!("{prefix}_misses"))?,
-                    stores: obj.get_num(&format!("{prefix}_stores"))?,
-                    evictions: obj.get_num(&format!("{prefix}_evictions"))?,
-                    bytes: obj.get_num(&format!("{prefix}_bytes"))?,
-                    entries: obj.get_num(&format!("{prefix}_entries"))?,
-                })
-            };
+        if let Some(entries) = obj.get_num("entries") {
             let key = obj.get_str("key").map(|k| KeyReport {
                 key: k.to_owned(),
-                in_hot: obj.get_bool("key_in_hot").unwrap_or(false),
-                in_cold: obj.get_bool("key_in_cold").unwrap_or(false),
+                present: obj.get_bool("key_present").unwrap_or(false),
                 bytes: obj.get_num("key_bytes").unwrap_or(0),
-                hits: obj.get_num("key_hits").unwrap_or(0),
             });
             return Some(Response::Inspect {
                 id,
                 body: InspectBody {
                     enabled: obj.get_bool("enabled")?,
-                    hot: tier("hot")?,
-                    cold: tier("cold")?,
-                    mem_budget: obj.get_num("mem_budget")?,
-                    disk_budget: obj.get_num("disk_budget")?,
-                    compress: obj.get_bool("compress")?,
-                    hottest: obj.get_str("hottest").unwrap_or_default().to_owned(),
+                    stats: CacheStats {
+                        hits: obj.get_num("hits")?,
+                        misses: obj.get_num("misses")?,
+                        stores: obj.get_num("stores")?,
+                    },
+                    footprint: Footprint { entries, bytes: obj.get_num("bytes")? },
                     key,
                 },
             });
@@ -857,42 +818,24 @@ impl Response {
     }
 }
 
-/// Builds the `inspect` report from a live [`TieredCache`] handle (the
-/// daemon calls this at delivery time; `nsc-client inspect --local`
-/// reads the same report in process).
-pub fn inspect_body(store: &TieredCache, key: Option<&str>) -> Result<InspectBody, String> {
+/// Builds the `inspect` report from a live [`ResultCache`] (the daemon
+/// calls this at delivery time; `nsc-client inspect --local` reads the
+/// same report in process). The only caller that walks the cache
+/// directory for its footprint.
+pub fn inspect_body(store: &ResultCache, key: Option<&str>) -> Result<InspectBody, String> {
     let key = match key {
         None => None,
         Some(hex) => {
             let k = cache::Key::parse_hex(hex)
                 .ok_or_else(|| format!("bad cache key (want 32 hex digits): {hex:?}"))?;
-            let p = store.probe(&k);
-            Some(KeyReport {
-                key: k.hex(),
-                in_hot: p.in_hot,
-                in_cold: p.in_cold,
-                bytes: p.bytes,
-                hits: p.hits,
-            })
+            let bytes = store.probe(&k);
+            Some(KeyReport { key: k.hex(), present: bytes.is_some(), bytes: bytes.unwrap_or(0) })
         }
     };
-    let stats = store.stats();
-    let hottest = store
-        .hottest(5)
-        .into_iter()
-        .map(|(k, hits)| format!("{}:{hits}", k.hex()))
-        .collect::<Vec<_>>()
-        .join(" ");
-    Ok(InspectBody {
-        enabled: cache::enabled(),
-        hot: stats.hot,
-        cold: stats.cold,
-        mem_budget: store.mem_budget(),
-        disk_budget: store.disk_budget(),
-        compress: store.compression(),
-        hottest,
-        key,
-    })
+    let footprint = store
+        .footprint()
+        .map_err(|e| format!("cache directory {}: {e}", store.root().display()))?;
+    Ok(InspectBody { enabled: cache::enabled(), stats: store.stats(), footprint, key })
 }
 
 /// The outcome of one `run` request, before serialization.
@@ -919,8 +862,8 @@ pub fn execute(workload: &str, size: Size, mode: ExecMode) -> Result<RunOutcome,
 /// its store) spans into `spans`. With the cache armed, a request whose
 /// key is already memoized (see [`request_key`]) builds and compiles
 /// nothing: a hit is one memo probe plus one lookup, and `pool_dispatch`
-/// reads zero. If that lookup misses (the record was evicted or
-/// purged), the build happens inside `simulate`. The simulation is
+/// reads zero. If that lookup misses (the record was purged or fails to
+/// decode), the build happens inside `simulate`. The simulation is
 /// untouched — only wall-clock fences are added around it — so results
 /// stay byte-identical with or without a live trace.
 pub fn execute_spanned(
@@ -1089,9 +1032,9 @@ pub fn is_retryable_shed(response: &Obj) -> bool {
 /// fault plan installed on the calling thread participates in the key,
 /// exactly as it would on the run path.
 pub fn cache_would_hit(workload: &str, size: Size, mode: ExecMode) -> bool {
-    // The memoized key makes a warm probe one hash-map read, and the
-    // shared handle answers it from the hot tier without touching disk
-    // or the hit/miss counters: that is what keeps degraded mode cheap.
+    // The memoized key makes a warm probe one hash-map read plus one
+    // `stat` of the record file, without touching the hit/miss counters:
+    // that is what keeps degraded mode cheap.
     cache::enabled()
         && request_key(workload, size, mode).is_some_and(|key| cache::shared().contains(&key))
 }
@@ -1159,14 +1102,6 @@ mod tests {
 
     #[test]
     fn response_lines_roundtrip() {
-        let tier = |seed: u64| TierStats {
-            hits: seed,
-            misses: seed + 1,
-            stores: seed + 2,
-            evictions: seed + 3,
-            bytes: seed * 100,
-            entries: seed + 4,
-        };
         let resps = [
             Response::Run {
                 id: 1,
@@ -1223,12 +1158,8 @@ mod tests {
                 id: 7,
                 body: InspectBody {
                     enabled: true,
-                    hot: tier(10),
-                    cold: tier(20),
-                    mem_budget: 64 << 20,
-                    disk_budget: 0,
-                    compress: true,
-                    hottest: "00112233445566778899aabbccddeeff:5".into(),
+                    stats: CacheStats { hits: 10, misses: 11, stores: 12 },
+                    footprint: Footprint { entries: 12, bytes: 9648 },
                     key: None,
                 },
             },
@@ -1236,18 +1167,25 @@ mod tests {
                 id: 8,
                 body: InspectBody {
                     enabled: false,
-                    hot: TierStats::default(),
-                    cold: TierStats::default(),
-                    mem_budget: 0,
-                    disk_budget: 4096,
-                    compress: false,
-                    hottest: String::new(),
+                    stats: CacheStats::default(),
+                    footprint: Footprint::default(),
                     key: Some(KeyReport {
                         key: "00112233445566778899aabbccddeeff".into(),
-                        in_hot: true,
-                        in_cold: false,
+                        present: true,
                         bytes: 812,
-                        hits: 3,
+                    }),
+                },
+            },
+            Response::Inspect {
+                id: 18,
+                body: InspectBody {
+                    enabled: true,
+                    stats: CacheStats { hits: 0, misses: 1, stores: 1 },
+                    footprint: Footprint { entries: 1, bytes: 804 },
+                    key: Some(KeyReport {
+                        key: "ffeeddccbbaa99887766554433221100".into(),
+                        present: false,
+                        bytes: 0,
                     }),
                 },
             },
@@ -1304,12 +1242,44 @@ mod tests {
     #[test]
     fn inspect_body_rejects_bad_keys() {
         let dir = std::env::temp_dir().join(format!("nsc-inspect-{}", std::process::id()));
-        let store = TieredCache::with_config(dir.clone(), 1 << 20, 0, false);
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = ResultCache::at(dir.clone());
         assert!(inspect_body(&store, Some("not-hex")).is_err());
         assert!(inspect_body(&store, Some("abcd")).is_err());
         let body = inspect_body(&store, Some(&"ab".repeat(16))).expect("well-formed key");
         let k = body.key.expect("key report present");
-        assert!(!k.in_hot && !k.in_cold, "unknown key is resident nowhere");
+        assert_eq!((k.present, k.bytes), (false, 0), "unknown key has no record");
+        assert_eq!(body.footprint, Footprint::default(), "a missing directory is empty");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_restarted_store_reports_and_hits_earlier_records() {
+        let dir = std::env::temp_dir().join(format!("nsc-restart-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let first = ResultCache::at(dir.clone());
+        let keys: Vec<Key> = (0..4u64)
+            .map(|i| Key::parse_hex(&format!("{:032x}", 0xa0 + i)).unwrap())
+            .collect();
+        for (i, k) in keys.iter().enumerate() {
+            first.store(k, &"z".repeat(32 + i)).unwrap();
+        }
+        let before = inspect_body(&first, None).unwrap().footprint;
+        assert_eq!(before, Footprint { entries: 4, bytes: 32 + 33 + 34 + 35 });
+
+        // A second store over the same directory (a restarted daemon)
+        // starts with zeroed counters but sees every earlier record.
+        let second = ResultCache::at(dir.clone());
+        let body = inspect_body(&second, Some(&keys[2].hex())).unwrap();
+        assert_eq!(body.footprint, before);
+        assert_eq!(body.stats, CacheStats::default());
+        let k = body.key.expect("key report present");
+        assert_eq!((k.present, k.bytes), (true, 34));
+        for (i, k) in keys.iter().enumerate() {
+            let blob = second.lookup(k, |b| Some(b.to_owned()));
+            assert_eq!(blob, Some("z".repeat(32 + i)));
+        }
+        assert_eq!(second.stats(), CacheStats { hits: 4, misses: 0, stores: 0 });
         let _ = std::fs::remove_dir_all(&dir);
     }
 

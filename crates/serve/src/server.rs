@@ -94,7 +94,7 @@ use crate::{
     Response,
 };
 use near_stream::ExecMode;
-use nsc_sim::cache::{self, CacheStore};
+use nsc_sim::cache;
 use nsc_sim::fault::{self, FaultPlan};
 use nsc_sim::log;
 use nsc_sim::metrics::{self, Gauge, Hist, Metric, Registry};
@@ -938,11 +938,9 @@ fn handle_conn(st: &Arc<State>, mut stream: UnixStream) {
             Ok(Request::Status { id }) => {
                 let stc = Arc::clone(st);
                 let slot = Box::new(move || {
-                    // Only an armed cache pays for a stats snapshot (the
-                    // first one walks the cold tier's shard directories).
                     let (hits, misses) = if cache::enabled() {
                         let s = cache::shared().stats();
-                        (s.hits(), s.misses())
+                        (s.hits, s.misses)
                     } else {
                         (0, 0)
                     };
@@ -1059,8 +1057,8 @@ fn handle_conn(st: &Arc<State>, mut stream: UnixStream) {
             }
             Ok(Request::Inspect { id, key }) => {
                 // Delivery-time snapshot: earlier runs on this connection
-                // have already stored/promoted their records, so a
-                // submit-then-inspect batch sees its own tier movement.
+                // have already stored their records, so a
+                // submit-then-inspect batch sees its own hits and stores.
                 let slot = Box::new(move || {
                     match inspect_body(cache::shared(), key.as_deref()) {
                         Ok(body) => Response::Inspect { id, body }.render(),

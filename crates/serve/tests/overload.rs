@@ -13,7 +13,7 @@ use nsc_workloads::Size;
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn temp_socket(tag: &str) -> PathBuf {
     let path = std::env::temp_dir().join(format!("nscd-load-{tag}-{}.sock", std::process::id()));
@@ -52,6 +52,20 @@ fn start_daemon(
     };
     wait_for(&socket);
     (socket, server)
+}
+
+/// Polls `status` until the daemon has admitted at least one run
+/// (queued, simulating or served).
+fn wait_admitted(socket: &Path) {
+    for _ in 0..400 {
+        let resps = roundtrip(socket, &[Request::Status { id: 1 }]).expect("status");
+        let n = |field| resps[0].get_num(field).unwrap_or(0);
+        if n("queue_depth") + n("served") > 0 {
+            return;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    panic!("daemon never admitted the run");
 }
 
 fn shutdown(socket: &Path, server: std::thread::JoinHandle<std::io::Result<()>>) {
@@ -149,6 +163,9 @@ fn shutdown_rejects_new_submits_while_draining() {
     let mut a = UnixStream::connect(&socket).expect("conn a");
     writeln!(a, "{}", run(1, 0, "histogram", 0).render()).expect("submit run 1");
     a.flush().expect("flush");
+    // Shut down only once run 1 is admitted (or done): the point is that
+    // admitted work drains, so the shutdown must not race its admission.
+    wait_admitted(&socket);
     // Connection B requests shutdown and sees it acknowledged.
     let resps = roundtrip(&socket, &[Request::Shutdown { id: 1 }]).expect("shutdown");
     assert_eq!(resps[0].get_bool("ok"), Some(true));
@@ -262,17 +279,24 @@ fn idle_time_on_a_persistent_connection_is_not_charged_to_the_next_request() {
     let idle = Duration::from_millis(600);
     let mut conn = UnixStream::connect(&socket).expect("connect");
     std::thread::sleep(idle);
+    let submitted = Instant::now();
     writeln!(conn, "{}", run(1, 0x1D1E, "histogram", 200).render()).expect("submit");
     conn.flush().expect("flush");
     let mut line = String::new();
     BufReader::new(&conn).read_line(&mut line).expect("response");
+    let client_us = submitted.elapsed().as_micros() as f64;
     let resp = nsc_serve::json::Obj::parse(line.trim_end()).expect("response parses");
     assert_eq!(resp.get_bool("ok"), Some(true), "idle time was charged to the deadline: {line}");
     let tree = parse(resp.get_str("latency").expect("latency")).expect("latency parses");
     let wall_us = tree.get("wall_us").and_then(Json::as_f64).expect("wall_us");
+    // The daemon's clock must start after the client wrote the line, so
+    // its wall fits inside the client's submit-to-response interval; a
+    // wall that counted the idle gap would exceed it by ~600 ms. This
+    // holds however long the simulation itself takes on a loaded host.
     assert!(
-        wall_us < idle.as_micros() as f64,
-        "span tree wall {wall_us}µs includes the {idle:?} idle gap"
+        wall_us <= client_us,
+        "span tree wall {wall_us}µs exceeds the client's {client_us}µs since submit: \
+         it includes the {idle:?} idle gap"
     );
     drop(conn);
     shutdown(&socket, server);

@@ -1,52 +1,40 @@
-//! Content-addressed, tiered result cache.
+//! Content-addressed result cache: one sharded directory of record files.
 //!
 //! Simulation points are pure functions of their canonical run request
 //! (program, parameters, configuration, execution mode, fault plan), so
 //! their results are addressable artifacts: the higher layers digest the
 //! request into a [`Key`] and store/retrieve the encoded result through a
-//! [`CacheStore`]. A warm cache turns a multi-minute sweep re-run into a
-//! memory or directory scan.
+//! [`ResultCache`]. A warm cache turns a multi-minute sweep re-run into a
+//! directory of file reads.
 //!
-//! The production store is [`TieredCache`]:
-//!
-//! ```text
-//!   lookup(key) ──► hot tier (in-memory LRU, NSC_CACHE_MEM_BYTES)
-//!                      │ miss                         ▲ promote on hit
-//!                      ▼                              │
-//!                   cold tier (sharded disk files ────┘
-//!                      NSC_CACHE_DISK_BYTES budget, LRU eviction,
-//!                      optional NSC_CACHE_COMPRESS record packing)
-//!                      │ miss
-//!                      ▼
-//!                   simulate + store (disk, then hot)
-//! ```
-//!
-//! The hot tier holds decoded record blobs so repeat hits never touch
-//! disk; the cold tier is the durable sharded blob store
-//! (`<dir>/<shard>/<key>.run`) that PR 4 introduced, now bounded by a
-//! byte budget with least-recently-stamped eviction and optional
-//! [`crate::pack`] compression (bit-exact for the f64 bit patterns
-//! records rely on; uncompressed legacy entries stay readable).
+//! Each record lives in its own file, `<dir>/<hex[..2]>/<hex>.run`
+//! (256-way sharding on the key's first byte), written to a temp file
+//! and renamed into place so concurrent writers never expose a torn
+//! record. A lookup is one file read, a [`ResultCache::contains`] probe
+//! is one `stat`, and nothing is held in memory but three counters. A
+//! full `--small` paper regeneration stores a few hundred records of
+//! under 1 KB each, so there is no byte budget, eviction or compression:
+//! the OS page cache already keeps the working set in memory.
 //!
 //! This module is deliberately value-agnostic: it maps keys to UTF-8
 //! blobs. What goes into the digest and how results are encoded lives
 //! with the types being cached (`near_stream::RunRequest`), keeping the
-//! dependency direction sim → core intact.
+//! dependency direction sim → core intact. [`ResultCache::lookup`] takes
+//! the caller's decoder, so a record that fails to decode (torn by an
+//! older writer, or from an incompatible format) counts as a miss and is
+//! overwritten by the re-simulated result.
 //!
 //! Arming: the cache is consulted only when the `NSC_CACHE` environment
 //! variable is set to a non-empty value other than `0` *and* no runtime
 //! override disabled it ([`set_disabled`], used by the `--no-cache`
 //! flag). `NSC_RESULTS_DIR` relocates the `results/` root, and
-//! `NSC_CACHE_DIR` overrides the cache directory outright. Tier budgets:
-//! `NSC_CACHE_MEM_BYTES` (hot tier, default 64 MiB, `0` disables the
-//! tier), `NSC_CACHE_DISK_BYTES` (cold tier, default `0` = unbounded),
-//! both accepting `k`/`m`/`g` suffixes. `NSC_CACHE_COMPRESS=1` packs
-//! cold-tier records. All are latched at first [`shared`] use.
+//! `NSC_CACHE_DIR` overrides the cache directory outright; both are
+//! latched at first [`shared`] use.
 //!
-//! Per-tier hits/misses/stores/evictions are tracked in [`CacheStats`];
-//! harness reports surface the totals in the `host` block, next to
-//! `jobs` and `wall_ms`, because they legitimately differ between a cold
-//! and a warm run of otherwise identical work.
+//! Hits, misses and stores are tracked in [`CacheStats`]; harness reports
+//! surface them in the `host` block, next to `jobs` and `wall_ms`,
+//! because they legitimately differ between a cold and a warm run of
+//! otherwise identical work.
 //!
 //! # Examples
 //!
@@ -65,11 +53,10 @@
 //! assert_eq!(Key::parse_hex(&key.hex()), Some(key));
 //! ```
 
-use std::collections::{BTreeMap, HashMap};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 
 use crate::metrics::{self, Metric};
 
@@ -216,396 +203,84 @@ pub fn dir() -> PathBuf {
         .join(".cache")
 }
 
-/// Hot-tier default when `NSC_CACHE_MEM_BYTES` is unset.
-const DEFAULT_MEM_BUDGET: u64 = 64 << 20;
-/// Flat per-entry bookkeeping charge in the hot tier, on top of blob
-/// bytes (map slot, key, stamps). Keeps a million tiny entries from
-/// reading as "free".
-const MEM_ENTRY_OVERHEAD: u64 = 64;
-
-fn parse_bytes(s: &str) -> Option<u64> {
-    let t = s.trim().to_ascii_lowercase();
-    let (digits, mult) = match t.strip_suffix(|c: char| matches!(c, 'k' | 'm' | 'g')) {
-        Some(head) => {
-            let mult = match t.as_bytes()[t.len() - 1] {
-                b'k' => 1u64 << 10,
-                b'm' => 1 << 20,
-                _ => 1 << 30,
-            };
-            (head.trim_end(), mult)
-        }
-        None => (t.as_str(), 1),
-    };
-    digits.parse::<u64>().ok()?.checked_mul(mult)
-}
-
-fn env_bytes(name: &str, default: u64) -> u64 {
-    match std::env::var(name) {
-        Ok(v) if !v.trim().is_empty() => parse_bytes(&v).unwrap_or(default),
-        _ => default,
-    }
-}
-
-/// Per-tier counters and occupancy, snapshotted by [`CacheStore::stats`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct TierStats {
-    /// Lookups answered by this tier.
-    pub hits: u64,
-    /// Lookups this tier could not answer (for the hot tier: fell
-    /// through to disk, whether or not disk then hit).
-    pub misses: u64,
-    /// Records written into this tier (hot: inserts + promotions).
-    pub stores: u64,
-    /// Records expelled to stay within the byte budget.
-    pub evictions: u64,
-    /// Resident payload bytes (hot: blob + fixed overhead per entry;
-    /// cold: file bytes, post-compression).
-    pub bytes: u64,
-    /// Resident record count.
-    pub entries: u64,
-}
-
-/// Whole-store statistics: one [`TierStats`] per tier.
+/// Lookup and store counters, snapshotted by [`ResultCache::stats`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    pub hot: TierStats,
-    pub cold: TierStats,
-}
-
-impl CacheStats {
-    /// Total lookups answered from cache, either tier. Matches the
-    /// pre-tier process-wide hit counter: a warm replay of a cold run
-    /// reports the same total no matter which tier served it.
-    pub fn hits(&self) -> u64 {
-        self.hot.hits + self.cold.hits
-    }
-
-    /// Total lookups no tier could answer (the run had to simulate).
-    /// Hot-tier fall-throughs that the cold tier absorbed are *not*
-    /// misses at this level.
-    pub fn misses(&self) -> u64 {
-        self.cold.misses
-    }
-}
-
-/// Where a single key currently lives ([`TieredCache::probe`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct KeyProbe {
-    /// Resident in the in-memory hot tier.
-    pub in_hot: bool,
-    /// Present in the on-disk cold tier.
-    pub in_cold: bool,
-    /// Stored size: cold file bytes if on disk, else hot blob bytes.
-    pub bytes: u64,
-    /// Hot-tier hits served for this key since it was (re)admitted.
+    /// Lookups that found a record and decoded it.
     pub hits: u64,
+    /// Lookups that found no record, or one that failed to decode (the
+    /// run had to simulate).
+    pub misses: u64,
+    /// Records written.
+    pub stores: u64,
 }
 
-/// A key-to-blob result store. Implementations must be safe to share
-/// across sweep workers ([`TieredCache`] is the production store; tests
-/// inject tiny-budget instances to force evictions).
-pub trait CacheStore: Send + Sync {
-    /// Looks `key` up, counting a hit or miss. Returns the stored blob.
-    ///
-    /// Unreadable, missing, or corrupt-compressed entries are misses; a
-    /// corrupt *decoded* record is the caller's to detect when decoding
-    /// (and to overwrite via [`CacheStore::store`]).
-    fn lookup(&self, key: &Key) -> Option<String>;
-
-    /// Stores `blob` under `key` durably (and into the hot tier).
-    fn store(&self, key: &Key, blob: &str) -> io::Result<()>;
-
-    /// Peeks at `key` without touching hit/miss counters (daemon status
-    /// probes and the degraded cache-only admission check).
-    fn contains(&self, key: &Key) -> bool;
-
-    /// Deletes every cached entry in every tier, returning how many
-    /// durable entries were removed.
-    fn purge(&self) -> io::Result<usize>;
-
-    /// Snapshots per-tier counters and occupancy.
-    fn stats(&self) -> CacheStats;
-
-    /// Zeroes hit/miss/store/eviction counters (occupancy is left
-    /// alone). The daemon's per-window accounting.
-    fn reset_stats(&self);
+/// What the cache directory holds, from a walk of its shards
+/// ([`ResultCache::footprint`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Footprint {
+    /// Record files.
+    pub entries: u64,
+    /// Their total size in bytes.
+    pub bytes: u64,
 }
 
-// ---------------------------------------------------------------------
-// Hot tier: size-budgeted in-memory LRU over decoded record blobs.
-// ---------------------------------------------------------------------
-
-struct MemEntry {
-    blob: String,
-    /// Monotonic access stamp; unique per entry (the tier clock only
-    /// moves under the tier lock), so LRU eviction has a total order and
-    /// is deterministic for a given access sequence.
-    stamp: u64,
-    hits: u64,
-}
-
-#[derive(Default)]
-struct MemInner {
-    map: HashMap<Key, MemEntry>,
-    bytes: u64,
-    clock: u64,
-    hits: u64,
-    misses: u64,
-    stores: u64,
-    evictions: u64,
-}
-
-struct MemTier {
-    budget: u64,
-    inner: Mutex<MemInner>,
-}
-
-impl MemTier {
-    fn new(budget: u64) -> MemTier {
-        MemTier {
-            budget,
-            inner: Mutex::new(MemInner::default()),
-        }
-    }
-
-    fn cost(blob: &str) -> u64 {
-        blob.len() as u64 + MEM_ENTRY_OVERHEAD
-    }
-
-    fn get(&self, key: &Key) -> Option<String> {
-        if self.budget == 0 {
-            return None;
-        }
-        let mut guard = self.inner.lock().unwrap();
-        let inner = &mut *guard;
-        inner.clock += 1;
-        let stamp = inner.clock;
-        match inner.map.get_mut(key) {
-            Some(entry) => {
-                entry.stamp = stamp;
-                entry.hits += 1;
-                let blob = entry.blob.clone();
-                inner.hits += 1;
-                Some(blob)
-            }
-            None => {
-                inner.misses += 1;
-                None
-            }
-        }
-    }
-
-    fn insert(&self, key: &Key, blob: &str) {
-        let cost = MemTier::cost(blob);
-        if self.budget == 0 || cost > self.budget {
-            return; // tier off, or one entry alone would overflow it
-        }
-        let mut inner = self.inner.lock().unwrap();
-        inner.clock += 1;
-        let stamp = inner.clock;
-        if let Some(old) = inner.map.insert(
-            *key,
-            MemEntry {
-                blob: blob.to_string(),
-                stamp,
-                hits: 0,
-            },
-        ) {
-            inner.bytes -= MemTier::cost(&old.blob);
-        }
-        inner.bytes += cost;
-        inner.stores += 1;
-        // Evict least-recently-stamped first; stamps are unique, so the
-        // victim order is fully determined by the access sequence.
-        while inner.bytes > self.budget {
-            let victim = inner
-                .map
-                .iter()
-                .min_by_key(|(k, e)| (e.stamp, **k))
-                .map(|(k, _)| *k)
-                .expect("over budget implies at least one resident entry");
-            let gone = inner.map.remove(&victim).unwrap();
-            inner.bytes -= MemTier::cost(&gone.blob);
-            inner.evictions += 1;
-            metrics::count_global(Metric::CacheHotEvictions, 1);
-        }
-    }
-
-    fn contains(&self, key: &Key) -> bool {
-        self.budget > 0 && self.inner.lock().unwrap().map.contains_key(key)
-    }
-
-    fn clear(&self) {
-        let mut inner = self.inner.lock().unwrap();
-        inner.map.clear();
-        inner.bytes = 0;
-    }
-
-    fn stats(&self) -> TierStats {
-        let inner = self.inner.lock().unwrap();
-        TierStats {
-            hits: inner.hits,
-            misses: inner.misses,
-            stores: inner.stores,
-            evictions: inner.evictions,
-            bytes: inner.bytes,
-            entries: inner.map.len() as u64,
-        }
-    }
-
-    fn reset_stats(&self) {
-        let mut inner = self.inner.lock().unwrap();
-        inner.hits = 0;
-        inner.misses = 0;
-        inner.stores = 0;
-        inner.evictions = 0;
-    }
-
-    fn hottest(&self, n: usize) -> Vec<(Key, u64)> {
-        let inner = self.inner.lock().unwrap();
-        let mut all: Vec<(Key, u64)> = inner.map.iter().map(|(k, e)| (*k, e.hits)).collect();
-        all.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        all.truncate(n);
-        all
-    }
-
-    fn probe(&self, key: &Key) -> Option<(u64, u64)> {
-        let inner = self.inner.lock().unwrap();
-        inner.map.get(key).map(|e| (e.blob.len() as u64, e.hits))
-    }
-}
-
-// ---------------------------------------------------------------------
-// Cold tier: the sharded on-disk blob store, now byte-budgeted with
-// LRU-by-access-stamp eviction and optional record compression.
-// ---------------------------------------------------------------------
-
-/// File prefix for compressed cold-tier entries: magic, then the raw
-/// length as 8 little-endian bytes, then the [`crate::pack`] stream.
-/// Files without the magic are read as plain UTF-8 (pre-compression
-/// entries remain valid).
-const PACK_MAGIC: &[u8; 6] = b"NSCZ1\n";
-
-#[derive(Clone, Copy)]
-struct DiskMeta {
-    bytes: u64,
-    stamp: u64,
-}
-
-#[derive(Default)]
-struct DiskIndex {
-    entries: BTreeMap<Key, DiskMeta>,
-    bytes: u64,
-}
-
-struct DiskTier {
+/// The result store: one record file per key under a root directory.
+/// See the module docs for the layout; [`shared`] holds the process-wide
+/// instance, and tests build private ones with [`ResultCache::at`].
+pub struct ResultCache {
     dir: PathBuf,
-    budget: u64,
-    compress: bool,
-    /// Lazily-built occupancy index: `None` until the first operation
-    /// that needs sizes (budgeted store, stats). Once built it is kept
-    /// in sync by every store/lookup/evict.
-    index: Mutex<Option<DiskIndex>>,
-    clock: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
     stores: AtomicU64,
-    evictions: AtomicU64,
 }
 
-impl DiskTier {
-    fn new(dir: PathBuf, budget: u64, compress: bool) -> DiskTier {
-        DiskTier {
+impl ResultCache {
+    /// A store rooted at `dir`. Nothing is read or created until the
+    /// first store, so a store over an existing directory serves the
+    /// records already there.
+    pub fn at(dir: PathBuf) -> ResultCache {
+        ResultCache {
             dir,
-            budget,
-            compress,
-            index: Mutex::new(None),
-            clock: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             stores: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
         }
     }
 
+    /// The root directory.
+    pub fn root(&self) -> &Path {
+        &self.dir
+    }
+
+    /// Where `key`'s record lives: `<dir>/<hex[..2]>/<hex>.run`.
     fn entry_path(&self, key: &Key) -> PathBuf {
         let hex = key.hex();
-        // 256-way sharding on the first byte keeps directories small
-        // even for campaigns with tens of thousands of points.
         self.dir.join(&hex[..2]).join(format!("{hex}.run"))
     }
 
-    fn decode_file(bytes: Vec<u8>) -> Option<String> {
-        if let Some(payload) = bytes.strip_prefix(PACK_MAGIC.as_slice()) {
-            if payload.len() < 8 {
-                return None;
-            }
-            let raw_len = u64::from_le_bytes(payload[..8].try_into().ok()?);
-            let raw = crate::pack::decompress(&payload[8..])?;
-            if raw.len() as u64 != raw_len {
-                return None;
-            }
-            String::from_utf8(raw).ok()
+    /// Reads `key`'s record and decodes it with `decode`, counting a hit
+    /// only when both succeed. A missing, unreadable or undecodable
+    /// record is a miss; the caller simulates and [`store`](Self::store)s
+    /// over it.
+    pub fn lookup<T>(&self, key: &Key, decode: impl FnOnce(&str) -> Option<T>) -> Option<T> {
+        let found = std::fs::read_to_string(self.entry_path(key))
+            .ok()
+            .and_then(|blob| decode(&blob));
+        if found.is_some() {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            metrics::count(Metric::ResultCacheHits);
+            metrics::count_global(Metric::CacheColdHits, 1);
         } else {
-            String::from_utf8(bytes).ok()
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            metrics::count(Metric::ResultCacheMisses);
+            metrics::count_global(Metric::CacheColdMisses, 1);
         }
+        found
     }
 
-    fn lookup(&self, key: &Key) -> Option<(String, u64)> {
-        let path = self.entry_path(key);
-        let blob = std::fs::read(&path).ok().and_then(DiskTier::decode_file);
-        match blob {
-            Some(blob) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                let file_bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-                self.touch(key, file_bytes);
-                Some((blob, file_bytes))
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    /// Bumps the access stamp so budget eviction sees this key as
-    /// recently used. A no-op until the index is built.
-    fn touch(&self, key: &Key, file_bytes: u64) {
-        let mut guard = self.index.lock().unwrap();
-        if let Some(idx) = guard.as_mut() {
-            let stamp = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
-            match idx.entries.get_mut(key) {
-                Some(meta) => meta.stamp = stamp,
-                None => {
-                    idx.entries.insert(
-                        *key,
-                        DiskMeta {
-                            bytes: file_bytes,
-                            stamp,
-                        },
-                    );
-                    idx.bytes += file_bytes;
-                }
-            }
-        }
-    }
-
-    fn store(&self, key: &Key, blob: &str) -> io::Result<()> {
-        let payload: Vec<u8> = if self.compress {
-            let packed = crate::pack::compress(blob.as_bytes());
-            let framed_len = PACK_MAGIC.len() + 8 + packed.len();
-            if framed_len < blob.len() {
-                let mut framed = Vec::with_capacity(framed_len);
-                framed.extend_from_slice(PACK_MAGIC);
-                framed.extend_from_slice(&(blob.len() as u64).to_le_bytes());
-                framed.extend_from_slice(&packed);
-                framed
-            } else {
-                blob.as_bytes().to_vec() // compression did not pay
-            }
-        } else {
-            blob.as_bytes().to_vec()
-        };
+    /// Stores `blob` under `key`, replacing any previous record.
+    pub fn store(&self, key: &Key, blob: &str) -> io::Result<()> {
         let path = self.entry_path(key);
         let shard = path.parent().expect("entry path has a shard directory");
         std::fs::create_dir_all(shard)?;
@@ -618,113 +293,74 @@ impl DiskTier {
             std::process::id(),
             TMP_SEQ.fetch_add(1, Ordering::Relaxed)
         ));
-        std::fs::write(&tmp, &payload)?;
+        std::fs::write(&tmp, blob)?;
         if let Err(e) = std::fs::rename(&tmp, &path) {
             let _ = std::fs::remove_file(&tmp);
             return Err(e);
         }
         self.stores.fetch_add(1, Ordering::Relaxed);
-        let mut guard = self.index.lock().unwrap();
-        if self.budget > 0 && guard.is_none() {
-            *guard = Some(self.scan());
-        }
-        if let Some(idx) = guard.as_mut() {
-            let stamp = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
-            let new_bytes = payload.len() as u64;
-            if let Some(old) = idx.entries.insert(
-                *key,
-                DiskMeta {
-                    bytes: new_bytes,
-                    stamp,
-                },
-            ) {
-                idx.bytes -= old.bytes;
-            }
-            idx.bytes += new_bytes;
-            if self.budget > 0 {
-                self.evict_locked(idx);
-            }
-        }
+        metrics::count(Metric::ResultCacheWrites);
+        metrics::count_global(Metric::CacheColdStores, 1);
         Ok(())
     }
 
-    /// Removes least-recently-stamped entries until the tier fits its
-    /// budget again, always sparing the most recent entry so a budget
-    /// smaller than one record still caches the latest point.
-    fn evict_locked(&self, idx: &mut DiskIndex) {
-        while idx.bytes > self.budget && idx.entries.len() > 1 {
-            let victim = idx
-                .entries
-                .iter()
-                .min_by_key(|(k, m)| (m.stamp, **k))
-                .map(|(k, _)| *k)
-                .expect("over budget implies a resident entry");
-            let meta = idx.entries.remove(&victim).unwrap();
-            idx.bytes -= meta.bytes;
-            let _ = std::fs::remove_file(self.entry_path(&victim));
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-            metrics::count_global(Metric::CacheColdEvictions, 1);
-        }
+    /// Whether `key` has a record, without touching the counters (daemon
+    /// probes and the degraded cache-only admission check).
+    pub fn contains(&self, key: &Key) -> bool {
+        self.probe(key).is_some()
     }
 
-    /// Walks the shard directories into a fresh index. Entries are
-    /// stamped in key order so a rebuilt index evicts deterministically
-    /// regardless of directory-listing order.
-    fn scan(&self) -> DiskIndex {
-        let mut idx = DiskIndex::default();
-        let shards = match std::fs::read_dir(&self.dir) {
-            Ok(s) => s,
-            Err(_) => return idx,
-        };
-        for shard in shards.flatten() {
-            let shard = shard.path();
-            if !shard.is_dir() {
-                continue;
-            }
-            let Ok(entries) = std::fs::read_dir(&shard) else {
-                continue;
-            };
-            for entry in entries.flatten() {
-                let p = entry.path();
-                if p.extension().is_none_or(|e| e != "run") {
-                    continue;
-                }
-                let Some(key) = p
-                    .file_stem()
-                    .and_then(|s| s.to_str())
-                    .and_then(Key::parse_hex)
-                else {
-                    continue;
-                };
-                let bytes = entry.metadata().map(|m| m.len()).unwrap_or(0);
-                idx.entries.insert(key, DiskMeta { bytes, stamp: 0 });
-                idx.bytes += bytes;
-            }
-        }
-        for (i, meta) in idx.entries.values_mut().enumerate() {
-            meta.stamp = i as u64 + 1;
-        }
-        self.clock
-            .fetch_max(idx.entries.len() as u64 + 1, Ordering::Relaxed);
-        idx
+    /// `key`'s record size in bytes, or `None` when it has no record.
+    pub fn probe(&self, key: &Key) -> Option<u64> {
+        std::fs::metadata(self.entry_path(key)).ok().map(|m| m.len())
     }
 
-    fn ensure_index(&self) {
-        let mut guard = self.index.lock().unwrap();
-        if guard.is_none() {
-            *guard = Some(self.scan());
-        }
-    }
-
-    fn contains(&self, key: &Key) -> bool {
-        self.entry_path(key).exists()
-    }
-
-    fn purge(&self) -> io::Result<usize> {
+    /// Deletes every record, returning how many were removed.
+    pub fn purge(&self) -> io::Result<usize> {
         let mut removed = 0;
+        self.for_each_record(|path| {
+            std::fs::remove_file(path)?;
+            removed += 1;
+            Ok(())
+        })?;
+        Ok(removed)
+    }
+
+    /// Counts the records on disk and their bytes by walking the shard
+    /// directories. Costs one `stat` per record, so only the `inspect`
+    /// report calls it.
+    pub fn footprint(&self) -> io::Result<Footprint> {
+        let mut fp = Footprint::default();
+        self.for_each_record(|path| {
+            fp.entries += 1;
+            fp.bytes += std::fs::metadata(path)?.len();
+            Ok(())
+        })?;
+        Ok(fp)
+    }
+
+    /// Snapshots the counters.
+    pub fn stats(&self) -> CacheStats {
+        CacheStats {
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+            stores: self.stores.load(Ordering::Relaxed),
+        }
+    }
+
+    /// Zeroes the counters (the records stay).
+    pub fn reset_stats(&self) {
+        self.hits.store(0, Ordering::Relaxed);
+        self.misses.store(0, Ordering::Relaxed);
+        self.stores.store(0, Ordering::Relaxed);
+    }
+
+    /// Calls `f` on every `.run` file under the shard directories; a
+    /// missing root holds no records.
+    fn for_each_record(&self, mut f: impl FnMut(&Path) -> io::Result<()>) -> io::Result<()> {
         let shards = match std::fs::read_dir(&self.dir) {
             Ok(s) => s,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(0),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(()),
             Err(e) => return Err(e),
         };
         for shard in shards {
@@ -733,186 +369,22 @@ impl DiskTier {
                 continue;
             }
             for entry in std::fs::read_dir(&shard)? {
-                let p = entry?.path();
-                if p.extension().is_some_and(|e| e == "run") {
-                    std::fs::remove_file(&p)?;
-                    removed += 1;
+                let path = entry?.path();
+                if path.extension().is_some_and(|e| e == "run") {
+                    f(&path)?;
                 }
             }
         }
-        *self.index.lock().unwrap() = Some(DiskIndex::default());
-        Ok(removed)
-    }
-
-    fn stats(&self) -> TierStats {
-        self.ensure_index();
-        let guard = self.index.lock().unwrap();
-        let idx = guard.as_ref().expect("index just ensured");
-        TierStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            stores: self.stores.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            bytes: idx.bytes,
-            entries: idx.entries.len() as u64,
-        }
-    }
-
-    fn reset_stats(&self) {
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-        self.stores.store(0, Ordering::Relaxed);
-        self.evictions.store(0, Ordering::Relaxed);
-    }
-
-    fn probe(&self, key: &Key) -> Option<u64> {
-        std::fs::metadata(self.entry_path(key)).ok().map(|m| m.len())
+        Ok(())
     }
 }
 
-// ---------------------------------------------------------------------
-// The tiered store.
-// ---------------------------------------------------------------------
-
-/// Hot-over-cold [`CacheStore`]: an in-memory LRU above the sharded
-/// on-disk blob store. See the module docs for the tier diagram and the
-/// environment knobs; [`shared`] holds the process-wide instance, and
-/// tests construct tiny-budget instances via [`TieredCache::with_config`]
-/// to force evictions without touching the environment.
-pub struct TieredCache {
-    mem: MemTier,
-    disk: DiskTier,
-}
-
-impl TieredCache {
-    /// Builds a store with explicit tier budgets (bytes; `0` disables
-    /// the hot tier / unbounds the cold tier) rooted at `dir`.
-    pub fn with_config(dir: PathBuf, mem_bytes: u64, disk_bytes: u64, compress: bool) -> TieredCache {
-        TieredCache {
-            mem: MemTier::new(mem_bytes),
-            disk: DiskTier::new(dir, disk_bytes, compress),
-        }
-    }
-
-    fn from_env() -> TieredCache {
-        let compress =
-            matches!(std::env::var("NSC_CACHE_COMPRESS"), Ok(v) if !v.is_empty() && v != "0");
-        TieredCache::with_config(
-            dir(),
-            env_bytes("NSC_CACHE_MEM_BYTES", DEFAULT_MEM_BUDGET),
-            env_bytes("NSC_CACHE_DISK_BYTES", 0),
-            compress,
-        )
-    }
-
-    /// Hot-tier byte budget (`0` = tier disabled).
-    pub fn mem_budget(&self) -> u64 {
-        self.mem.budget
-    }
-
-    /// Cold-tier byte budget (`0` = unbounded).
-    pub fn disk_budget(&self) -> u64 {
-        self.disk.budget
-    }
-
-    /// Whether cold-tier records are stored compressed.
-    pub fn compression(&self) -> bool {
-        self.disk.compress
-    }
-
-    /// The cold tier's root directory.
-    pub fn root(&self) -> &Path {
-        &self.disk.dir
-    }
-
-    /// The `n` hot-tier keys with the most hits since admission, hottest
-    /// first (ties broken by key for stable output).
-    pub fn hottest(&self, n: usize) -> Vec<(Key, u64)> {
-        self.mem.hottest(n)
-    }
-
-    /// Per-key residency for the inspector: which tiers hold `key`, its
-    /// stored size, and its hot-tier hit count.
-    pub fn probe(&self, key: &Key) -> KeyProbe {
-        let hot = self.mem.probe(key);
-        let cold_bytes = self.disk.probe(key);
-        KeyProbe {
-            in_hot: hot.is_some(),
-            in_cold: cold_bytes.is_some(),
-            bytes: cold_bytes.or(hot.map(|(b, _)| b)).unwrap_or(0),
-            hits: hot.map(|(_, h)| h).unwrap_or(0),
-        }
-    }
-}
-
-impl CacheStore for TieredCache {
-    fn lookup(&self, key: &Key) -> Option<String> {
-        if let Some(blob) = self.mem.get(key) {
-            metrics::count(Metric::ResultCacheHits);
-            metrics::count_global(Metric::CacheHotHits, 1);
-            return Some(blob);
-        }
-        if self.mem.budget > 0 {
-            metrics::count_global(Metric::CacheHotMisses, 1);
-        }
-        match self.disk.lookup(key) {
-            Some((blob, _)) => {
-                metrics::count(Metric::ResultCacheHits);
-                metrics::count_global(Metric::CacheColdHits, 1);
-                // Promote: the next hit is memory-speed.
-                self.mem.insert(key, &blob);
-                Some(blob)
-            }
-            None => {
-                metrics::count(Metric::ResultCacheMisses);
-                metrics::count_global(Metric::CacheColdMisses, 1);
-                None
-            }
-        }
-    }
-
-    fn store(&self, key: &Key, blob: &str) -> io::Result<()> {
-        let res = self.disk.store(key, blob);
-        if res.is_ok() {
-            metrics::count(Metric::ResultCacheStores);
-            metrics::count_global(Metric::CacheColdStores, 1);
-        }
-        // Hot admission happens even if the durable store failed (disk
-        // full): the process can still replay its own points.
-        self.mem.insert(key, blob);
-        res
-    }
-
-    fn contains(&self, key: &Key) -> bool {
-        // Hot first: the degraded cache-only path answers warm probes
-        // without any disk I/O.
-        self.mem.contains(key) || self.disk.contains(key)
-    }
-
-    fn purge(&self) -> io::Result<usize> {
-        self.mem.clear();
-        self.disk.purge()
-    }
-
-    fn stats(&self) -> CacheStats {
-        CacheStats {
-            hot: self.mem.stats(),
-            cold: self.disk.stats(),
-        }
-    }
-
-    fn reset_stats(&self) {
-        self.mem.reset_stats();
-        self.disk.reset_stats();
-    }
-}
-
-/// The process-wide store, configured from the environment at first use
+/// The process-wide store over [`dir`], latched at first use
 /// (`RunRequest::run_cached`, the daemon's probe/inspect paths, and the
 /// harness host block all share it).
-pub fn shared() -> &'static TieredCache {
-    static SHARED: OnceLock<TieredCache> = OnceLock::new();
-    SHARED.get_or_init(TieredCache::from_env)
+pub fn shared() -> &'static ResultCache {
+    static SHARED: OnceLock<ResultCache> = OnceLock::new();
+    SHARED.get_or_init(|| ResultCache::at(dir()))
 }
 
 #[cfg(test)]
@@ -931,6 +403,10 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("nsc-cache-{}-{name}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
+    }
+
+    fn text(blob: &str) -> Option<String> {
+        Some(blob.to_owned())
     }
 
     #[test]
@@ -976,189 +452,65 @@ mod tests {
     }
 
     #[test]
-    fn parse_bytes_suffixes() {
-        assert_eq!(parse_bytes("4096"), Some(4096));
-        assert_eq!(parse_bytes("16k"), Some(16 << 10));
-        assert_eq!(parse_bytes(" 2M "), Some(2 << 20));
-        assert_eq!(parse_bytes("1g"), Some(1 << 30));
-        assert_eq!(parse_bytes("nope"), None);
-    }
-
-    #[test]
     fn store_lookup_purge_roundtrip() {
         let dir = scratch("roundtrip");
-        let store = TieredCache::with_config(dir.clone(), 1 << 20, 0, false);
+        let store = ResultCache::at(dir.clone());
         let key = key_of(&["roundtrip"]);
-        assert_eq!(store.lookup(&key), None);
+        assert_eq!(store.lookup(&key, text), None);
+        assert!(!store.contains(&key));
         store.store(&key, "blob=1\n").unwrap();
-        assert_eq!(store.lookup(&key).as_deref(), Some("blob=1\n"));
+        assert_eq!(store.lookup(&key, text).as_deref(), Some("blob=1\n"));
         assert!(store.contains(&key));
-        let s = store.stats();
-        assert_eq!((s.hits(), s.misses()), (1, 1));
-        assert_eq!(s.hot.hits, 1, "second lookup must be served hot");
+        assert_eq!(store.probe(&key), Some(7));
+        assert_eq!(store.stats(), CacheStats { hits: 1, misses: 1, stores: 1 });
         assert_eq!(store.purge().unwrap(), 1);
-        assert_eq!(store.lookup(&key), None);
+        assert_eq!(store.lookup(&key, text), None);
+        assert_eq!(store.probe(&key), None);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn hot_tier_serves_without_disk() {
-        let dir = scratch("hot-no-disk");
-        let store = TieredCache::with_config(dir.clone(), 1 << 20, 0, false);
-        let key = key_of(&["hot"]);
-        store.store(&key, "v=1\n").unwrap();
-        // Delete the cold file out from under the store: a hot-tier hit
-        // must not notice.
-        std::fs::remove_dir_all(&dir).unwrap();
-        assert_eq!(store.lookup(&key).as_deref(), Some("v=1\n"));
-        assert!(store.contains(&key), "contains answers from the hot tier");
-        let s = store.stats();
-        assert_eq!((s.hot.hits, s.cold.hits), (1, 0));
-    }
-
-    #[test]
-    fn hot_tier_lru_eviction_is_deterministic() {
-        let dir = scratch("hot-lru");
-        // Budget fits two ~(8 + 64)-byte entries, not three.
-        let store = TieredCache::with_config(dir.clone(), 150, 0, false);
-        let (a, b, c) = (key_of(&["a"]), key_of(&["b"]), key_of(&["c"]));
-        store.store(&a, "aaaaaaaa").unwrap();
-        store.store(&b, "bbbbbbbb").unwrap();
-        let _ = store.lookup(&a); // b is now least recent
-        store.store(&c, "cccccccc").unwrap(); // evicts b
-        let s = store.stats();
-        assert_eq!(s.hot.evictions, 1);
-        assert_eq!(s.hot.entries, 2);
-        // b is gone hot but still on disk; a and c are hot.
-        let hot: Vec<Key> = store.hottest(8).into_iter().map(|(k, _)| k).collect();
-        assert!(hot.contains(&a) && hot.contains(&c) && !hot.contains(&b));
-        assert_eq!(store.lookup(&b).as_deref(), Some("bbbbbbbb"));
-        assert_eq!(store.stats().cold.hits, 1, "evicted key falls to disk");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn cold_tier_budget_evicts_lru_files() {
-        let dir = scratch("cold-evict");
-        // No hot tier; cold budget fits ~3 of the 40-byte records.
-        let store = TieredCache::with_config(dir.clone(), 0, 128, false);
-        let keys: Vec<Key> = (0..6).map(|i| key_of(&["k", &i.to_string()])).collect();
-        for k in &keys {
-            store.store(k, &"x".repeat(40)).unwrap();
-        }
-        let s = store.stats();
-        assert!(s.cold.evictions >= 3, "tiny budget must evict: {s:?}");
-        assert!(s.cold.bytes <= 128, "occupancy within budget: {s:?}");
-        // The most recent key always survives.
-        assert!(store.contains(&keys[5]));
-        // Evicted keys read as misses and can be re-stored.
-        assert_eq!(store.lookup(&keys[0]), None);
-        store.store(&keys[0], &"y".repeat(40)).unwrap();
-        assert_eq!(store.lookup(&keys[0]).as_deref(), Some(&*"y".repeat(40)));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn cold_lookup_bumps_stamp_against_eviction() {
-        let dir = scratch("cold-touch");
-        let store = TieredCache::with_config(dir.clone(), 0, 100, false);
-        let (a, b, c) = (key_of(&["a"]), key_of(&["b"]), key_of(&["c"]));
-        store.store(&a, &"x".repeat(40)).unwrap();
-        store.store(&b, &"x".repeat(40)).unwrap();
-        let _ = store.lookup(&a); // a is now more recent than b
-        store.store(&c, &"x".repeat(40)).unwrap(); // must evict b, not a
-        assert!(store.contains(&a) && store.contains(&c) && !store.contains(&b));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn compressed_records_roundtrip_and_mix_with_plain() {
-        let dir = scratch("compress");
-        let plain = TieredCache::with_config(dir.clone(), 0, 0, false);
-        let packed = TieredCache::with_config(dir.clone(), 0, 0, true);
-        let mut rec = String::from("schema=nsc-run-v1\n");
-        for i in 0..64u64 {
-            rec.push_str(&format!("stats.row{i}=4607182418800017408,{i},42\n"));
-        }
-        let old = key_of(&["old"]);
-        let new = key_of(&["new"]);
-        plain.store(&old, &rec).unwrap(); // legacy uncompressed entry
-        packed.store(&new, &rec).unwrap();
-        // Compressed file is smaller on disk but reads back identically,
-        // through either store configuration.
-        let old_sz = std::fs::metadata(plain.disk.entry_path(&old)).unwrap().len();
-        let new_sz = std::fs::metadata(packed.disk.entry_path(&new)).unwrap().len();
-        assert!(new_sz < old_sz, "compression must shrink records ({old_sz} -> {new_sz})");
-        assert_eq!(packed.lookup(&old).as_deref(), Some(rec.as_str()));
-        assert_eq!(plain.lookup(&new).as_deref(), Some(rec.as_str()));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn corrupt_compressed_entry_is_a_miss() {
-        let dir = scratch("corrupt");
-        let store = TieredCache::with_config(dir.clone(), 0, 0, true);
-        let key = key_of(&["corrupt"]);
-        let path = store.disk.entry_path(&key);
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        let mut junk = PACK_MAGIC.to_vec();
-        junk.extend_from_slice(&99u64.to_le_bytes());
-        junk.extend_from_slice(&[0x80, 9, 9]); // bogus match token
-        std::fs::write(&path, junk).unwrap();
-        assert_eq!(store.lookup(&key), None);
-        assert_eq!(store.stats().cold.misses, 1);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn probe_and_hottest_report_residency() {
-        let dir = scratch("probe");
-        let store = TieredCache::with_config(dir.clone(), 1 << 20, 0, false);
-        let key = key_of(&["probe"]);
-        assert_eq!(store.probe(&key), KeyProbe::default());
-        store.store(&key, "v=1\n").unwrap();
-        let _ = store.lookup(&key);
-        let _ = store.lookup(&key);
-        let p = store.probe(&key);
-        assert!(p.in_hot && p.in_cold);
-        assert_eq!(p.hits, 2);
-        assert!(p.bytes > 0);
-        let hottest = store.hottest(1);
-        assert_eq!(hottest, vec![(key, 2)]);
+    fn undecodable_record_is_a_miss() {
+        let dir = scratch("undecodable");
+        let store = ResultCache::at(dir.clone());
+        let key = key_of(&["undecodable"]);
+        store.store(&key, "garbage").unwrap();
+        assert_eq!(store.lookup(&key, |_| None::<String>), None);
+        // Not UTF-8 at all (e.g. a binary-framed record): also a miss.
+        std::fs::write(store.entry_path(&key), [0x4e, 0xff, 0x00]).unwrap();
+        assert_eq!(store.lookup(&key, text), None);
+        assert_eq!(store.stats(), CacheStats { hits: 0, misses: 2, stores: 1 });
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn stats_reset_keeps_occupancy() {
         let dir = scratch("reset");
-        let store = TieredCache::with_config(dir.clone(), 1 << 20, 0, false);
+        let store = ResultCache::at(dir.clone());
         let key = key_of(&["reset"]);
         store.store(&key, "v=1\n").unwrap();
-        let _ = store.lookup(&key);
+        let _ = store.lookup(&key, text);
         store.reset_stats();
-        let s = store.stats();
-        assert_eq!((s.hits(), s.misses(), s.hot.stores, s.cold.stores), (0, 0, 0, 0));
-        assert_eq!(s.hot.entries, 1, "reset must not drop residents");
-        assert_eq!(s.cold.entries, 1);
+        assert_eq!(store.stats(), CacheStats::default());
+        assert_eq!(
+            store.footprint().unwrap(),
+            Footprint { entries: 1, bytes: 4 },
+            "reset must not drop records"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn index_rebuild_sees_preexisting_entries() {
-        let dir = scratch("rebuild");
-        let a = TieredCache::with_config(dir.clone(), 0, 0, false);
-        for i in 0..4u64 {
-            a.store(&key_of(&["pre", &i.to_string()]), &"z".repeat(32)).unwrap();
-        }
-        // A fresh store over the same directory (new daemon process)
-        // must count the existing footprint and evict it under budget.
-        let b = TieredCache::with_config(dir.clone(), 0, 120, false);
-        let s0 = b.stats();
-        assert_eq!(s0.cold.entries, 4);
-        b.store(&key_of(&["post"]), &"z".repeat(32)).unwrap();
-        let s1 = b.stats();
-        assert!(s1.cold.evictions >= 1, "pre-existing entries evict: {s1:?}");
-        assert!(s1.cold.bytes <= 120);
+    fn footprint_ignores_temp_files_and_a_missing_root() {
+        let dir = scratch("footprint");
+        let store = ResultCache::at(dir.clone());
+        assert_eq!(store.footprint().unwrap(), Footprint::default());
+        assert_eq!(store.purge().unwrap(), 0);
+        let key = key_of(&["fp"]);
+        store.store(&key, "abc").unwrap();
+        let shard = store.entry_path(&key).parent().unwrap().to_path_buf();
+        std::fs::write(shard.join(".tmp-1-1"), "partial").unwrap();
+        assert_eq!(store.footprint().unwrap(), Footprint { entries: 1, bytes: 3 });
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -413,8 +413,16 @@ pub fn snapshot() -> FaultStats {
 mod tests {
     use super::*;
 
+    /// `ACTIVE` is process-global: every test that arms an injector
+    /// holds this lock, so the leak check sees only its own installs.
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn absorb_sums_into_installed_injector() {
+        let _serial = serial();
         install(FaultPlan::uniform(11, 1.0));
         assert!(inject(FaultSite::NocDrop));
         let mut other = FaultStats::default();
@@ -442,6 +450,7 @@ mod tests {
 
     #[test]
     fn install_replacing_does_not_leak_active_count() {
+        let _serial = serial();
         let before = ACTIVE.load(Ordering::Relaxed);
         install(FaultPlan::uniform(1, 0.5));
         install(FaultPlan::uniform(2, 0.5)); // replace, not stack
@@ -463,6 +472,7 @@ mod tests {
 
     #[test]
     fn rate_one_always_fires_and_counts() {
+        let _serial = serial();
         install(FaultPlan::uniform(7, 1.0));
         for _ in 0..5 {
             assert!(inject(FaultSite::MemError));
@@ -476,6 +486,7 @@ mod tests {
 
     #[test]
     fn rate_zero_never_fires_even_when_armed() {
+        let _serial = serial();
         install(FaultPlan::none());
         for site in FaultSite::ALL {
             assert!(!inject(site));
@@ -485,6 +496,7 @@ mod tests {
 
     #[test]
     fn same_seed_same_schedule() {
+        let _serial = serial();
         let run = |seed| {
             install(FaultPlan::uniform(seed, 0.3));
             let hits: Vec<bool> = (0..200).map(|_| inject(FaultSite::NocDrop)).collect();
@@ -497,6 +509,7 @@ mod tests {
 
     #[test]
     fn penalties_come_from_the_plan() {
+        let _serial = serial();
         let mut plan = FaultPlan::uniform(1, 0.5);
         plan.noc_delay_cycles = 17;
         plan.bank_stall_cycles = 33;
@@ -511,6 +524,7 @@ mod tests {
 
     #[test]
     fn snapshot_diffs_attribute_windows() {
+        let _serial = serial();
         install(FaultPlan::uniform(3, 1.0));
         inject(FaultSite::OffloadNack);
         let mid = snapshot();

@@ -22,7 +22,6 @@ pub mod fault;
 pub mod json;
 pub mod log;
 pub mod metrics;
-pub mod pack;
 pub mod pool;
 pub mod queue;
 pub mod resource;

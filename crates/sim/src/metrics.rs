@@ -124,8 +124,8 @@ pub enum Metric {
     ResultCacheHits,
     /// Result-cache lookups that missed.
     ResultCacheMisses,
-    /// Result-cache records stored.
-    ResultCacheStores,
+    /// Result-cache records stored (`result_cache.stores`).
+    ResultCacheWrites,
     /// Jobs submitted to the shared thread pool.
     PoolJobs,
     /// Faults fired by the deterministic injector.
@@ -151,26 +151,19 @@ pub enum Metric {
     /// Resubmitted `request_id`s answered by replaying the stored
     /// response instead of re-simulating.
     ServeDedupReplays,
-    /// Result-cache lookups served by the in-memory hot tier.
-    CacheHotHits,
-    /// Hot-tier lookups that fell through to the cold tier (whether or
-    /// not disk then hit).
-    CacheHotMisses,
-    /// Hot-tier records expelled to stay within `NSC_CACHE_MEM_BYTES`.
-    CacheHotEvictions,
-    /// Result-cache lookups served by the on-disk cold tier.
+    /// Result-cache lookups answered from the record store
+    /// (process-global; `result_cache.hits` is the per-run view).
     CacheColdHits,
-    /// Lookups no tier could answer (the run had to simulate).
+    /// Result-cache lookups the store could not answer (the run had to
+    /// simulate).
     CacheColdMisses,
-    /// Records written durably into the cold tier.
+    /// Records written into the store.
     CacheColdStores,
-    /// Cold-tier files expelled to stay within `NSC_CACHE_DISK_BYTES`.
-    CacheColdEvictions,
 }
 
 impl Metric {
     /// Every counter, in declaration (= index) order.
-    pub const ALL: [Metric; 52] = [
+    pub const ALL: [Metric; 48] = [
         Metric::EngineIterations,
         Metric::DispatchCoreAccess,
         Metric::DispatchCorePrefetch,
@@ -205,7 +198,7 @@ impl Metric {
         Metric::NocRetransmits,
         Metric::ResultCacheHits,
         Metric::ResultCacheMisses,
-        Metric::ResultCacheStores,
+        Metric::ResultCacheWrites,
         Metric::PoolJobs,
         Metric::FaultsInjected,
         Metric::ServeRequests,
@@ -216,13 +209,9 @@ impl Metric {
         Metric::ServeDeadlineExceeded,
         Metric::ServeConnsRejected,
         Metric::ServeDedupReplays,
-        Metric::CacheHotHits,
-        Metric::CacheHotMisses,
-        Metric::CacheHotEvictions,
         Metric::CacheColdHits,
         Metric::CacheColdMisses,
         Metric::CacheColdStores,
-        Metric::CacheColdEvictions,
     ];
 
     /// Dotted metric name, e.g. `"mem.l1.hits"`.
@@ -262,7 +251,7 @@ impl Metric {
             Metric::NocRetransmits => "noc.retransmits",
             Metric::ResultCacheHits => "result_cache.hits",
             Metric::ResultCacheMisses => "result_cache.misses",
-            Metric::ResultCacheStores => "result_cache.stores",
+            Metric::ResultCacheWrites => "result_cache.stores",
             Metric::PoolJobs => "pool.jobs",
             Metric::FaultsInjected => "fault.injected",
             Metric::ServeRequests => "serve.requests",
@@ -273,13 +262,9 @@ impl Metric {
             Metric::ServeDeadlineExceeded => "serve.deadline_exceeded",
             Metric::ServeConnsRejected => "serve.conns_rejected",
             Metric::ServeDedupReplays => "serve.dedup_replays",
-            Metric::CacheHotHits => "cache.hot.hits",
-            Metric::CacheHotMisses => "cache.hot.misses",
-            Metric::CacheHotEvictions => "cache.hot.evictions",
             Metric::CacheColdHits => "cache.cold.hits",
             Metric::CacheColdMisses => "cache.cold.misses",
             Metric::CacheColdStores => "cache.cold.stores",
-            Metric::CacheColdEvictions => "cache.cold.evictions",
         }
     }
 

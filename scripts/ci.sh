@@ -14,13 +14,12 @@
 #   6. a cache smoke: the same harness twice under NSC_CACHE=1 — the
 #      second run must be 100% cache hits (zero simulations) and emit a
 #      byte-identical report once the host.* object is stripped,
-#   7. a cache-tier smoke: the sweep under tiny NSC_CACHE_DISK_BYTES +
-#      compression (forced cold evictions, still byte-identical), then a
-#      live daemon with a 1-byte cold budget whose hot tier must serve a
-#      disk-evicted key, checked via `nsc-client inspect` and the
-#      nsc_cache_* Prometheus series,
-#   8. an nscd smoke: daemon round trip over a Unix socket, including a
-#      warm resubmission that must be served from the cache,
+#   7. an nscd smoke: daemon round trip over a Unix socket, including a
+#      warm resubmission that must be served from the cache and show up
+#      as a hit in `nsc-client inspect` and the nsc_cache_* Prometheus
+#      series,
+#   8. a trace smoke: request span trees, the log flight recorder, and
+#      fig09 byte-identity with debug logging on,
 #   9. an overload soak: a saturating nsc_load burst against a one-worker
 #      daemon with fault injection armed — every request must get exactly
 #      one terminal response (typed sheds allowed, lost responses not)
@@ -90,61 +89,6 @@ grep -q '"cache_hits":0,' "$CACHE_TMP/cold/fig09_speedup.json" \
   || { echo "cold run hit a cache that should have been empty"; exit 1; }
 echo "warm run replayed every point from the cache, byte-identical report"
 
-echo "== cache-tier (tiny budgets: evictions, hot-tier hits, inspect) =="
-# A cold-tier byte budget far below the sweep's footprint forces
-# evictions mid-sweep, with record compression on to cover the framed
-# file path. Evicted entries cost a re-simulation, never a changed
-# byte: the second sweep must still match the first exactly.
-TIER_TMP="$PERF_TMP/tier"
-mkdir -p "$TIER_TMP/cold" "$TIER_TMP/warm"
-NSC_CACHE=1 NSC_CACHE_DIR="$TIER_TMP/store" NSC_CACHE_DISK_BYTES=4k \
-  NSC_CACHE_COMPRESS=1 NSC_RESULTS_DIR="$TIER_TMP/cold" \
-  ./target/release/fig09_speedup --tiny > "$TIER_TMP/cold.txt"
-NSC_CACHE=1 NSC_CACHE_DIR="$TIER_TMP/store" NSC_CACHE_DISK_BYTES=4k \
-  NSC_CACHE_COMPRESS=1 NSC_RESULTS_DIR="$TIER_TMP/warm" \
-  ./target/release/fig09_speedup --tiny > "$TIER_TMP/warm.txt"
-diff "$TIER_TMP/cold.txt" "$TIER_TMP/warm.txt"
-diff <(sed 's/,"host":.*//' "$TIER_TMP/cold/fig09_speedup.json") \
-     <(sed 's/,"host":.*//' "$TIER_TMP/warm/fig09_speedup.json")
-# Live daemon with a 1-byte cold budget: every store evicts its
-# predecessors (the newest entry is spared), yet a resubmission is
-# still served — from the in-memory hot tier.
-TIER_SOCK="$PERF_TMP/nscd-tier.sock"
-NSC_CACHE_DIR="$TIER_TMP/nscd-store" NSC_CACHE_DISK_BYTES=1 \
-  ./target/release/nscd --socket "$TIER_SOCK" --jobs 1 &
-TIER_PID=$!
-for _ in $(seq 50); do [ -S "$TIER_SOCK" ] && break; sleep 0.1; done
-[ -S "$TIER_SOCK" ] || { echo "nscd (tier) never bound its socket"; exit 1; }
-./target/release/nsc-client submit --socket "$TIER_SOCK" --size tiny --mode NS histogram \
-  > /dev/null
-./target/release/nsc-client submit --socket "$TIER_SOCK" --size tiny --mode NS bin_tree \
-  > /dev/null
-# histogram's cold file was evicted by bin_tree's store, but the hot
-# tier still holds it: the resubmission must come back cached.
-./target/release/nsc-client submit --socket "$TIER_SOCK" --size tiny --mode NS histogram \
-  > "$TIER_TMP/resubmit.txt"
-grep -q 'cached=true' "$TIER_TMP/resubmit.txt" \
-  || { echo "hot tier failed to serve an evicted-from-disk key"; cat "$TIER_TMP/resubmit.txt"; exit 1; }
-./target/release/nsc-client inspect --socket "$TIER_SOCK" > "$TIER_TMP/inspect.txt" \
-  2> "$TIER_TMP/inspect-summary.txt"
-grep -q '"hot_hits":[1-9]' "$TIER_TMP/inspect.txt" \
-  || { echo "inspect shows no hot-tier hits"; cat "$TIER_TMP/inspect.txt"; exit 1; }
-grep -q '"cold_evictions":[1-9]' "$TIER_TMP/inspect.txt" \
-  || { echo "inspect shows no cold evictions under a 1-byte budget"; cat "$TIER_TMP/inspect.txt"; exit 1; }
-grep -q '"hottest":"[0-9a-f]' "$TIER_TMP/inspect.txt" \
-  || { echo "inspect hottest-keys list empty"; cat "$TIER_TMP/inspect.txt"; exit 1; }
-grep -q '^  hot ' "$TIER_TMP/inspect-summary.txt" \
-  || { echo "inspect human summary missing tier table"; cat "$TIER_TMP/inspect-summary.txt"; exit 1; }
-# The per-tier counters surface in the Prometheus exporter.
-./target/release/nsc-client metrics --prom --socket "$TIER_SOCK" > "$TIER_TMP/prom.txt"
-grep -q '# TYPE nsc_cache_hot_hits_total counter' "$TIER_TMP/prom.txt" \
-  || { echo "cache.hot.hits missing from prometheus exporter"; cat "$TIER_TMP/prom.txt"; exit 1; }
-grep -q '# TYPE nsc_cache_cold_evictions_total counter' "$TIER_TMP/prom.txt" \
-  || { echo "cache.cold.evictions missing from prometheus exporter"; exit 1; }
-./target/release/nsc-client shutdown --socket "$TIER_SOCK" > /dev/null
-wait "$TIER_PID"
-echo "tiered cache: evictions forced, hot tier served, inspect + prom observable"
-
 echo "== nscd (daemon round trip + warm resubmission) =="
 NSCD_SOCK="$PERF_TMP/nscd.sock"
 NSC_CACHE_DIR="$PERF_TMP/nscd-cache" ./target/release/nscd --socket "$NSCD_SOCK" --jobs 2 &
@@ -162,6 +106,9 @@ grep -q 'cached=true' "$PERF_TMP/nscd-warm.txt" \
 diff <(sed 's/cached=.*//' "$PERF_TMP/nscd-cold.txt") \
      <(sed 's/cached=.*//' "$PERF_TMP/nscd-warm.txt")
 ./target/release/nsc-client status --socket "$NSCD_SOCK" | grep -q '"ok":true'
+./target/release/nsc-client inspect --socket "$NSCD_SOCK" > "$PERF_TMP/nscd-inspect.txt" 2> /dev/null
+grep -q '"hits":[1-9]' "$PERF_TMP/nscd-inspect.txt" \
+  || { echo "inspect shows no cache hit after the warm resubmission"; cat "$PERF_TMP/nscd-inspect.txt"; exit 1; }
 ./target/release/nsc-client status --socket "$NSCD_SOCK" | grep -q '"uptime_ms":'
 # Live metrics: the daemon's registry saw both runs (one cached), and
 # the Prometheus rendering carries the counter with a TYPE line.
@@ -171,6 +118,8 @@ grep -q 'serve.runs_cached[ =]*1' "$PERF_TMP/nscd-metrics.txt" \
 ./target/release/nsc-client metrics --prom --socket "$NSCD_SOCK" > "$PERF_TMP/nscd-prom.txt"
 grep -q '# TYPE nsc_serve_runs_total counter' "$PERF_TMP/nscd-prom.txt" \
   || { echo "prometheus rendering broken"; cat "$PERF_TMP/nscd-prom.txt"; exit 1; }
+grep -q '# TYPE nsc_cache_cold_hits_total counter' "$PERF_TMP/nscd-prom.txt" \
+  || { echo "cache.cold.hits missing from prometheus exporter"; cat "$PERF_TMP/nscd-prom.txt"; exit 1; }
 ./target/release/nsc-client shutdown --socket "$NSCD_SOCK" > /dev/null
 wait "$NSCD_PID"
 echo "daemon served, cached, reported metrics, and shut down cleanly"

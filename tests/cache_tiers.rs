@@ -1,17 +1,18 @@
-//! Tier behavior of the result cache under byte budgets: forced hot- and
-//! cold-tier evictions between passes must never change replayed record
-//! bytes, and a shared store must be worker-count invariant. These tests
-//! arm the cache through `NSC_CACHE` and drive explicit tiny-budget
-//! [`TieredCache`] instances (never the process-wide handle), so they
-//! live alone in their own test binary: env mutation in a multi-threaded
-//! harness would race other test binaries' latched cache state.
+//! The result store under the cached run path: a warm sweep replays
+//! every point byte-for-byte with zero misses, a record that fails to
+//! decode is a miss that gets overwritten, and a shared store is
+//! worker-count invariant. These tests arm the cache through `NSC_CACHE`
+//! and drive private [`ResultCache`] instances (never the process-wide
+//! handle), so they live alone in their own test binary: env mutation in
+//! a multi-threaded harness would race other test binaries' latched
+//! cache state.
 
 use near_stream::request::encode;
 use near_stream::{ExecMode, RunRequest, SystemConfig};
 use nsc_compiler::compile;
 use nsc_ir::build::KernelBuilder;
 use nsc_ir::{ElemType, Expr, Program};
-use nsc_sim::cache::{CacheStore, Key, TieredCache};
+use nsc_sim::cache::{CacheStats, ResultCache};
 use nsc_sim::fault::FaultStats;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -24,7 +25,7 @@ fn arm() {
 }
 
 fn fresh_dir(tag: &str) -> PathBuf {
-    let d = std::env::temp_dir().join(format!("nsc-tiers-{tag}-{}", std::process::id()));
+    let d = std::env::temp_dir().join(format!("nsc-store-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&d);
     d
 }
@@ -32,7 +33,7 @@ fn fresh_dir(tag: &str) -> PathBuf {
 /// A minimal one-kernel program; `imm` lands in an instruction
 /// immediate, so each value yields a distinct cache key.
 fn probe_program(imm: i64) -> Program {
-    let mut p = Program::new("tier_probe");
+    let mut p = Program::new("store_probe");
     let a = p.array("a", ElemType::I64, 64);
     let out = p.array("out", ElemType::I64, 64);
     let mut k = KernelBuilder::new("k", 64);
@@ -46,7 +47,7 @@ fn probe_program(imm: i64) -> Program {
 /// Runs one request per `imm` through the cached path against `store`
 /// and returns each result re-encoded in the record codec, so passes
 /// can be compared byte-for-byte.
-fn sweep_bytes(store: &TieredCache, imms: &[i64]) -> Vec<String> {
+fn sweep_bytes(store: &ResultCache, imms: &[i64]) -> Vec<String> {
     imms.iter()
         .map(|&imm| {
             let p = probe_program(imm);
@@ -63,72 +64,59 @@ fn sweep_bytes(store: &TieredCache, imms: &[i64]) -> Vec<String> {
         .collect()
 }
 
-/// Incompressible filler (random-looking hex): defeats the record
-/// compressor so each filler store carries its full weight against the
-/// cold tier's byte budget.
-fn noise(len: usize, mut seed: u64) -> String {
-    let mut s = String::with_capacity(len + 16);
-    while s.len() < len {
-        seed = seed
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        s.push_str(&format!("{seed:016x}"));
-    }
-    s.truncate(len);
-    s
-}
-
-/// The core replay property: a warm pass over a budget-capped store must
-/// reproduce the cold pass byte-for-byte even when filler stores evict
-/// the sweep's records from both tiers in between. Evicted entries cost
-/// a re-simulation, never a changed byte.
+/// A warm pass over a populated store reproduces the cold pass
+/// byte-for-byte, answering every lookup from the store: no misses, no
+/// stores.
 #[test]
-fn budget_capped_tiers_replay_sweeps_byte_identically() {
+fn warm_sweep_replays_every_point_from_the_store() {
     arm();
-    let store = TieredCache::with_config(fresh_dir("replay"), 4096, 4096, true);
-    let imms: Vec<i64> = (1..=6).collect();
-    let cold = sweep_bytes(&store, &imms);
-
-    for i in 0..4u64 {
-        let key = Key::parse_hex(&format!("{i:032x}")).expect("filler key");
-        store.store(&key, &noise(2048, i + 1)).expect("filler store");
-    }
-    let stats = store.stats();
-    assert!(
-        stats.cold.evictions > 0,
-        "fillers must force cold-tier evictions: {stats:?}"
-    );
-    assert!(
-        stats.hot.evictions > 0,
-        "fillers must force hot-tier evictions: {stats:?}"
-    );
-
-    let warm = sweep_bytes(&store, &imms);
-    assert_eq!(cold, warm, "eviction pressure changed a replayed record");
-}
-
-/// With room to spare, a doubly-warm sweep is answered entirely by the
-/// in-memory hot tier: every lookup hits, nothing re-reads disk, and
-/// the aggregate hit/miss split matches the legacy cold-only semantics.
-#[test]
-fn warm_sweep_is_served_from_the_hot_tier() {
-    arm();
-    let store = TieredCache::with_config(fresh_dir("hot"), 64 << 20, 0, false);
+    let store = ResultCache::at(fresh_dir("warm"));
     let imms = [11, 12, 13];
     let cold = sweep_bytes(&store, &imms);
+    assert_eq!(store.stats(), CacheStats { hits: 0, misses: 3, stores: 3 });
     store.reset_stats();
     let warm = sweep_bytes(&store, &imms);
     assert_eq!(cold, warm, "warm replay diverged from the cold run");
-    let s = store.stats();
-    assert_eq!(s.hot.hits, imms.len() as u64, "warm pass must hit hot: {s:?}");
-    assert_eq!(s.hits(), imms.len() as u64);
-    assert_eq!(s.misses(), 0, "a fully warm pass reports zero misses: {s:?}");
+    assert_eq!(
+        store.stats(),
+        CacheStats { hits: imms.len() as u64, misses: 0, stores: 0 },
+        "a fully warm pass reports zero misses"
+    );
+}
+
+/// A record file that does not decode (garbage, or a format this build
+/// cannot read) must count as a miss, not a hit: the run simulates and
+/// overwrites it, and the next lookup hits the rewritten record.
+#[test]
+fn undecodable_record_is_a_miss_and_is_rewritten() {
+    arm();
+    let store = ResultCache::at(fresh_dir("garbage"));
+    let p = probe_program(31);
+    let c = compile(&p);
+    let cfg = SystemConfig::small();
+    let req = RunRequest::new(&p).compiled(&c).mode(ExecMode::Ns).config(&cfg);
+    store.store(&req.key(), "not a cache record\n").unwrap();
+    store.reset_stats();
+
+    let first = req.try_run_cached_in(&store).expect("run over a garbage record");
+    assert_eq!(
+        store.stats(),
+        CacheStats { hits: 0, misses: 1, stores: 1 },
+        "an undecodable record must be a miss that simulates and stores"
+    );
+    let again = req.try_run_cached_in(&store).expect("replay of the rewritten record");
+    assert_eq!(store.stats(), CacheStats { hits: 1, misses: 1, stores: 1 });
+    assert_eq!(
+        encode(&first, &FaultStats::default()),
+        encode(&again, &FaultStats::default()),
+        "the rewritten record replays the simulated result"
+    );
 }
 
 /// Runs the sweep with `jobs` workers racing over one shared store,
 /// collecting results by submission index.
 fn sweep_with_workers(dir: &Path, jobs: usize, imms: &[i64]) -> Vec<String> {
-    let store = TieredCache::with_config(dir.to_path_buf(), 4096, 4096, true);
+    let store = ResultCache::at(dir.to_path_buf());
     let out: Vec<Mutex<Option<String>>> = imms.iter().map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
     std::thread::scope(|s| {
@@ -157,9 +145,9 @@ fn sweep_with_workers(dir: &Path, jobs: usize, imms: &[i64]) -> Vec<String> {
 }
 
 /// `NSC_JOBS`-style determinism: the same sweep through one worker and
-/// through eight racing workers (each pass on a fresh tiny-budget store,
-/// so admission/eviction interleaving differs wildly) yields identical
-/// result bytes per request.
+/// through eight racing workers (each pass on a fresh store, so the
+/// lookup/store interleaving differs) yields identical result bytes per
+/// request.
 #[test]
 fn shared_store_results_are_worker_count_invariant() {
     arm();

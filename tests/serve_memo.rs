@@ -8,7 +8,7 @@ use near_stream::request::encode;
 use near_stream::ExecMode;
 use nsc_bench::{prepare, system_for};
 use nsc_serve::{cache_would_hit, execute, request_key};
-use nsc_sim::cache::{self, CacheStore};
+use nsc_sim::cache;
 use nsc_sim::fault::{self, FaultPlan, FaultStats};
 use nsc_workloads::{all, by_name, names, Size};
 use std::sync::Once;
@@ -26,10 +26,10 @@ fn arm_cache() {
     });
 }
 
-/// Lookups the shared store has answered, hit or miss, either tier.
+/// Lookups the shared store has answered, hit or miss.
 fn lookups() -> u64 {
     let s = cache::shared().stats();
-    s.hits() + s.misses()
+    s.hits + s.misses
 }
 
 #[test]
